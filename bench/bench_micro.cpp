@@ -16,7 +16,6 @@
 #include "util/crc32.hpp"
 #include "analysis/streaming.hpp"
 #include "engine/session_engine.hpp"
-#include "exerciser/failpoints.hpp"
 #include "monitor/sampler.hpp"
 #include "server/fault_injection.hpp"
 #include "server/inproc.hpp"
@@ -558,8 +557,8 @@ void BM_FaultyChannelCleanOverhead(benchmark::State& state) {
   std::unique_ptr<uucs::MessageChannel> channel =
       std::make_unique<Borrowed>(pair.a());
   if (state.range(0) != 0) {
-    auto schedule = std::make_shared<uucs::FaultSchedule>(
-        uucs::FaultSchedule::seeded(1, uucs::FaultProfile{}));
+    auto schedule = std::make_shared<uucs::ChannelFaultSchedule>(
+        uucs::ChannelFaultSchedule::seeded(1, uucs::ChannelFaultProfile{}));
     channel = std::make_unique<uucs::FaultyChannel>(std::move(channel),
                                                     std::move(schedule));
   }
@@ -575,16 +574,16 @@ void BM_FaultyChannelCleanOverhead(benchmark::State& state) {
 BENCHMARK(BM_FaultyChannelCleanOverhead)->Arg(0)->Arg(1);
 
 void BM_HostFailpointGuard(benchmark::State& state) {
-  // What the host-failpoint check costs per disk write. Arg 0: disarmed —
+  // What the resource-failpoint check costs per disk write. Arg 0: disarmed —
   // the guard the live client always pays when a failpoints object is
   // wired in (one relaxed atomic load). Arg 1: armed with an all-clean
   // seeded schedule — mutex + RNG draw + stats bump, the chaos-host price.
-  uucs::HostFailpoints fp;
+  uucs::ResourceFailpoints fp;
   if (state.range(0) != 0) {
-    fp.arm(uucs::HostFaultSchedule::seeded(1, uucs::HostFaultProfile{}));
+    fp.arm(uucs::ResourceFaultSchedule::seeded(1, uucs::ResourceFaultProfile{}));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fp.on_disk_write().kind);
+    benchmark::DoNotOptimize(fp.on_write().kind);
   }
   state.SetLabel(state.range(0) ? "armed (no faults)" : "disarmed");
 }

@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "exerciser/exerciser.hpp"
-#include "exerciser/failpoints.hpp"
 #include "exerciser/playback.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -213,30 +213,18 @@ class DiskExerciser final : public ResourceExerciser {
           rng.uniform_int(512, static_cast<std::int64_t>(write_cap)));
       buf[0] = static_cast<char>(rng());
 
-      int injected = 0;
+      IoFault injected;
       if (cfg_.failpoints) {
-        const HostFaultAction action = cfg_.failpoints->on_disk_write();
-        switch (action.kind) {
-          case HostFaultKind::kSlowIo:
-            // A realistically blocked syscall: sleeps whole, not sliced, so
-            // the stall is exactly what the watchdog has to bound.
-            clock_.sleep(action.delay_s);
-            break;
-          case HostFaultKind::kEnospc:
-            injected = ENOSPC;
-            break;
-          case HostFaultKind::kEio:
-            injected = EIO;
-            break;
-          default:
-            break;
-        }
+        injected = io_fault(cfg_.failpoints->on_write());
+        // A realistically blocked syscall: sleeps whole, not sliced, so the
+        // stall is exactly what the watchdog has to bound.
+        if (injected.stall_s > 0) clock_.sleep(injected.stall_s);
       }
 
       ssize_t n;
-      if (injected != 0) {
+      if (injected.err != 0) {
         n = -1;
-        errno = injected;
+        errno = injected.err;
       } else {
         n = ::pwrite(fd, buf.data(), len, static_cast<off_t>(off));
       }

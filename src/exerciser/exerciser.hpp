@@ -10,7 +10,7 @@
 
 namespace uucs {
 
-class HostFailpoints;
+class ResourceFailpoints;
 
 /// Tuning knobs shared by the real resource exercisers.
 struct ExerciserConfig {
@@ -73,7 +73,7 @@ struct ExerciserConfig {
   /// Deterministic host-fault injection (ENOSPC/EIO/slow-IO into disk
   /// writes, fake readings into the memory-pressure probe). Null — the
   /// default — means not even the armed-check is paid on the hot paths.
-  std::shared_ptr<HostFailpoints> failpoints;
+  std::shared_ptr<ResourceFailpoints> failpoints;
 
   /// Validates every knob; throws ConfigError naming the offending field.
   /// All exerciser constructors call this, so a bad config fails loudly at

@@ -7,9 +7,9 @@
 #include <mutex>
 
 #include "exerciser/exerciser.hpp"
-#include "exerciser/failpoints.hpp"
 #include "monitor/sampler.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
 #include "util/strings.hpp"
 
 namespace uucs {
@@ -166,7 +166,7 @@ class MemoryExerciser final : public ResourceExerciser {
   std::optional<MemoryPressure> probe() {
     auto p = read_memory_pressure();
     if (cfg_.failpoints) {
-      if (const auto frac = cfg_.failpoints->on_memory_probe()) {
+      if (const auto frac = cfg_.failpoints->on_probe()) {
         if (!p) {
           p = MemoryPressure{};
           p->total_bytes = cfg_.memory_pool_bytes * 4;

@@ -4,24 +4,23 @@
 #include <thread>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace uucs {
 
-std::string fault_kind_name(FaultKind kind) {
+std::string fault_kind_name(ChannelFaultKind kind) {
   switch (kind) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kDisconnect: return "disconnect";
-    case FaultKind::kDelay: return "delay";
-    case FaultKind::kTruncate: return "truncate";
-    case FaultKind::kGarbage: return "garbage";
+    case ChannelFaultKind::kNone: return "none";
+    case ChannelFaultKind::kDrop: return "drop";
+    case ChannelFaultKind::kDisconnect: return "disconnect";
+    case ChannelFaultKind::kDelay: return "delay";
+    case ChannelFaultKind::kTruncate: return "truncate";
+    case ChannelFaultKind::kGarbage: return "garbage";
   }
   return "unknown";
 }
 
-FaultProfile FaultProfile::moderate() {
-  FaultProfile p;
+ChannelFaultProfile ChannelFaultProfile::moderate() {
+  ChannelFaultProfile p;
   p.drop = 0.08;
   p.disconnect = 0.06;
   p.delay = 0.05;
@@ -31,91 +30,40 @@ FaultProfile FaultProfile::moderate() {
   return p;
 }
 
-FaultSchedule FaultSchedule::none() { return FaultSchedule(); }
-
-FaultSchedule FaultSchedule::scripted(std::vector<FaultAction> actions) {
-  FaultSchedule s;
-  s.script_ = std::move(actions);
-  return s;
+std::vector<FaultOdds<ChannelFaultKind>> ChannelFaultProfile::odds() const {
+  return {{drop, {ChannelFaultKind::kDrop}},
+          {disconnect, {ChannelFaultKind::kDisconnect}},
+          {delay, {ChannelFaultKind::kDelay, delay_s}},
+          {truncate, {ChannelFaultKind::kTruncate}},
+          {garbage, {ChannelFaultKind::kGarbage}}};
 }
 
-FaultSchedule FaultSchedule::seeded(std::uint64_t seed, FaultProfile profile) {
-  FaultSchedule s;
-  s.seeded_ = true;
-  s.rng_ = Rng(seed);
-  s.profile_ = profile;
-  return s;
-}
+namespace {
 
-FaultAction FaultSchedule::next() {
-  const std::size_t op = ops_++;
-  if (!seeded_) {
-    if (op < script_.size()) return script_[op];
-    return FaultAction{};
+// Unlike the resource tables, any "=V" lands in delay_s.
+constexpr FaultSpelling<ChannelFaultKind> kChannelSpellings[] = {
+    {"drop", ChannelFaultKind::kDrop, FaultParam::kDelay},
+    {"disconnect", ChannelFaultKind::kDisconnect, FaultParam::kDelay},
+    {"delay", ChannelFaultKind::kDelay, FaultParam::kDelay},
+    {"truncate", ChannelFaultKind::kTruncate, FaultParam::kDelay},
+    {"garbage", ChannelFaultKind::kGarbage, FaultParam::kDelay},
+};
+
+}  // namespace
+
+ChannelFaultSchedule parse_channel_fault_schedule(const std::string& spec) {
+  auto script = parse_fault_script<ChannelFaultKind>(spec, kChannelSpellings, "fault");
+  for (auto& [op, action] : script) {
+    if (action.kind == ChannelFaultKind::kDelay && action.delay_s <= 0) {
+      action.delay_s = 0.005;
+    }
   }
-  // One uniform draw per operation keeps the sequence a pure function of
-  // (seed, operation index history), independent of which fault fires.
-  const double u = rng_.uniform();
-  double edge = profile_.drop;
-  if (u < edge) return {FaultKind::kDrop, 0.0};
-  edge += profile_.disconnect;
-  if (u < edge) return {FaultKind::kDisconnect, 0.0};
-  edge += profile_.delay;
-  if (u < edge) return {FaultKind::kDelay, profile_.delay_s};
-  edge += profile_.truncate;
-  if (u < edge) return {FaultKind::kTruncate, 0.0};
-  edge += profile_.garbage;
-  if (u < edge) return {FaultKind::kGarbage, 0.0};
-  return FaultAction{};
-}
-
-FaultSchedule parse_fault_schedule(const std::string& spec) {
-  std::vector<FaultAction> actions;
-  for (const auto& part : split(trim(spec), ',')) {
-    if (trim(part).empty()) continue;
-    const auto fields = split(trim(part), ':');
-    if (fields.size() != 2) {
-      throw ParseError("fault schedule entry '" + std::string(part) +
-                       "' is not OP:KIND");
-    }
-    const auto op = parse_int(fields[0]);
-    if (!op || *op < 0) {
-      throw ParseError("bad fault schedule operation index '" + fields[0] + "'");
-    }
-    FaultAction action;
-    std::string kind = fields[1];
-    const auto eq = kind.find('=');
-    if (eq != std::string::npos) {
-      const auto delay = parse_double(kind.substr(eq + 1));
-      if (!delay || *delay < 0) {
-        throw ParseError("bad fault delay '" + kind.substr(eq + 1) + "'");
-      }
-      action.delay_s = *delay;
-      kind = kind.substr(0, eq);
-    }
-    if (kind == "drop") {
-      action.kind = FaultKind::kDrop;
-    } else if (kind == "disconnect") {
-      action.kind = FaultKind::kDisconnect;
-    } else if (kind == "delay") {
-      action.kind = FaultKind::kDelay;
-      if (action.delay_s <= 0) action.delay_s = 0.005;
-    } else if (kind == "truncate") {
-      action.kind = FaultKind::kTruncate;
-    } else if (kind == "garbage") {
-      action.kind = FaultKind::kGarbage;
-    } else {
-      throw ParseError("unknown fault kind '" + kind + "'");
-    }
-    const auto index = static_cast<std::size_t>(*op);
-    if (actions.size() <= index) actions.resize(index + 1);
-    actions[index] = action;
-  }
-  return FaultSchedule::scripted(std::move(actions));
+  return ChannelFaultSchedule::scripted(std::move(script));
 }
 
 FaultyChannel::FaultyChannel(std::unique_ptr<MessageChannel> inner,
-                             std::shared_ptr<FaultSchedule> schedule, Stats* aggregate)
+                             std::shared_ptr<ChannelFaultSchedule> schedule,
+                             Stats* aggregate)
     : inner_(std::move(inner)), schedule_(std::move(schedule)), aggregate_(aggregate) {
   UUCS_CHECK_MSG(inner_ != nullptr, "FaultyChannel needs an inner channel");
   UUCS_CHECK_MSG(schedule_ != nullptr, "FaultyChannel needs a schedule");
@@ -123,53 +71,54 @@ FaultyChannel::FaultyChannel(std::unique_ptr<MessageChannel> inner,
 }
 
 FaultyChannel::FaultyChannel(std::unique_ptr<TcpChannel> inner,
-                             std::shared_ptr<FaultSchedule> schedule, Stats* aggregate)
+                             std::shared_ptr<ChannelFaultSchedule> schedule,
+                             Stats* aggregate)
     : FaultyChannel(std::unique_ptr<MessageChannel>(std::move(inner)),
                     std::move(schedule), aggregate) {}
 
-FaultAction FaultyChannel::begin_op() {
+ChannelFaultAction FaultyChannel::begin_op() {
   ++stats_.ops;
   if (aggregate_) ++aggregate_->ops;
   return schedule_->next();
 }
 
-void FaultyChannel::count(FaultKind kind) {
+void FaultyChannel::count(ChannelFaultKind kind) {
   auto bump = [kind](Stats& s) {
     switch (kind) {
-      case FaultKind::kDrop: ++s.drops; break;
-      case FaultKind::kDisconnect: ++s.disconnects; break;
-      case FaultKind::kDelay: ++s.delays; break;
-      case FaultKind::kTruncate: ++s.truncations; break;
-      case FaultKind::kGarbage: ++s.garbage; break;
-      case FaultKind::kNone: break;
+      case ChannelFaultKind::kDrop: ++s.drops; break;
+      case ChannelFaultKind::kDisconnect: ++s.disconnects; break;
+      case ChannelFaultKind::kDelay: ++s.delays; break;
+      case ChannelFaultKind::kTruncate: ++s.truncations; break;
+      case ChannelFaultKind::kGarbage: ++s.garbage; break;
+      case ChannelFaultKind::kNone: break;
     }
   };
   bump(stats_);
   if (aggregate_) bump(*aggregate_);
 }
 
-void FaultyChannel::poison(const char* what, FaultKind kind) {
+void FaultyChannel::poison(const char* what, ChannelFaultKind kind) {
   inner_->close();
   throw ProtocolError(std::string("fault injection: ") + fault_kind_name(kind) +
                       " during " + what);
 }
 
 void FaultyChannel::write(const std::string& message) {
-  const FaultAction action = begin_op();
+  const ChannelFaultAction action = begin_op();
   count(action.kind);
   switch (action.kind) {
-    case FaultKind::kNone:
+    case ChannelFaultKind::kNone:
       inner_->write(message);
       return;
-    case FaultKind::kDrop:
+    case ChannelFaultKind::kDrop:
       return;  // swallowed: the peer never sees it, the caller's read times out
-    case FaultKind::kDisconnect:
+    case ChannelFaultKind::kDisconnect:
       poison("write", action.kind);
-    case FaultKind::kDelay:
+    case ChannelFaultKind::kDelay:
       std::this_thread::sleep_for(std::chrono::duration<double>(action.delay_s));
       inner_->write(message);
       return;
-    case FaultKind::kTruncate:
+    case ChannelFaultKind::kTruncate:
       if (tcp_) {
         // Header claims the full payload; deliver only half, then hang up —
         // the peer's read_all hits EOF mid-payload.
@@ -178,7 +127,7 @@ void FaultyChannel::write(const std::string& message) {
         tcp_->write_bytes(framed.substr(0, header + message.size() / 2));
       }
       poison("write", action.kind);
-    case FaultKind::kGarbage:
+    case ChannelFaultKind::kGarbage:
       if (tcp_) {
         tcp_->write_bytes("\x07gArBaGe bytes, not a UUCS frame\xff\xfe\n");
       }
@@ -187,24 +136,24 @@ void FaultyChannel::write(const std::string& message) {
 }
 
 std::optional<std::string> FaultyChannel::read() {
-  const FaultAction action = begin_op();
+  const ChannelFaultAction action = begin_op();
   count(action.kind);
   switch (action.kind) {
-    case FaultKind::kNone:
+    case ChannelFaultKind::kNone:
       return inner_->read();
-    case FaultKind::kDrop: {
+    case ChannelFaultKind::kDrop: {
       // Lose one incoming message (the classic "response vanished" fault),
       // then keep reading: with deadlines, the caller sees a TimeoutError.
       const auto lost = inner_->read();
       if (!lost) return std::nullopt;  // peer closed; nothing to lose
       return inner_->read();
     }
-    case FaultKind::kDelay:
+    case ChannelFaultKind::kDelay:
       std::this_thread::sleep_for(std::chrono::duration<double>(action.delay_s));
       return inner_->read();
-    case FaultKind::kDisconnect:
-    case FaultKind::kTruncate:
-    case FaultKind::kGarbage:
+    case ChannelFaultKind::kDisconnect:
+    case ChannelFaultKind::kTruncate:
+    case ChannelFaultKind::kGarbage:
       // Byte-level faults have no receive-side analogue at this layer;
       // they all collapse to "the connection died under the read".
       poison("read", action.kind);

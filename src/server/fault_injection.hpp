@@ -6,29 +6,28 @@
 
 #include "server/net.hpp"
 #include "server/protocol.hpp"
-#include "util/rng.hpp"
+#include "util/failpoint.hpp"
 
 namespace uucs {
 
-/// What a FaultyChannel may do to one channel operation.
-enum class FaultKind {
+/// What a FaultyChannel may do to one channel operation: the channel family
+/// of the fault-injection framework (util/failpoint, DESIGN.md §8).
+enum class ChannelFaultKind {
   kNone,        ///< pass through untouched
   kDrop,        ///< write: swallow the message; read: discard one message
   kDisconnect,  ///< close the channel and fail the operation
-  kDelay,       ///< sleep, then pass through
+  kDelay,       ///< sleep delay_s, then pass through
   kTruncate,    ///< write: send a frame shorter than its header claims, then close
   kGarbage,     ///< write: send unframed garbage bytes, then close
 };
 
-std::string fault_kind_name(FaultKind kind);
+std::string fault_kind_name(ChannelFaultKind kind);
 
-struct FaultAction {
-  FaultKind kind = FaultKind::kNone;
-  double delay_s = 0.0;  ///< used by kDelay
-};
+using ChannelFaultAction = FaultAction<ChannelFaultKind>;
+using ChannelFaultSchedule = FaultSchedule<ChannelFaultKind>;
 
-/// Per-operation fault probabilities for a seeded schedule.
-struct FaultProfile {
+/// Per-operation channel-fault odds for a seeded schedule.
+struct ChannelFaultProfile {
   double drop = 0.0;
   double disconnect = 0.0;
   double delay = 0.0;
@@ -38,48 +37,19 @@ struct FaultProfile {
 
   /// The chaos-test mix: every sync has a realistic chance of at least one
   /// injected fault, while forward progress stays overwhelmingly likely.
-  static FaultProfile moderate();
+  static ChannelFaultProfile moderate();
+
+  std::vector<FaultOdds<ChannelFaultKind>> odds() const;
 };
 
-/// Deterministic source of FaultActions, one per channel operation. Either
-/// scripted (an explicit per-operation list, exact replay) or seeded (drawn
-/// from a FaultProfile with a private Rng — same seed, same fault sequence).
-class FaultSchedule {
- public:
-  /// No faults, ever.
-  static FaultSchedule none();
+/// Parses "OP:KIND[,OP:KIND...]" where KIND is drop | disconnect |
+/// delay[=SECONDS] | truncate | garbage (any "=V" lands in delay_s; a delay
+/// of 0 or less means 5 ms). Example: "1:drop,3:delay=0.05,4:disconnect".
+/// Throws ParseError on malformed specs.
+ChannelFaultSchedule parse_channel_fault_schedule(const std::string& spec);
 
-  /// `actions[i]` applies to the i-th channel operation; operations past
-  /// the end of the script run clean.
-  static FaultSchedule scripted(std::vector<FaultAction> actions);
-
-  /// Draws each operation's action from `profile` using an Rng seeded with
-  /// `seed`.
-  static FaultSchedule seeded(std::uint64_t seed, FaultProfile profile);
-
-  /// The action for the next channel operation.
-  FaultAction next();
-
-  /// Operations consumed so far.
-  std::size_t ops() const { return ops_; }
-
- private:
-  FaultSchedule() = default;
-  std::vector<FaultAction> script_;
-  bool seeded_ = false;
-  Rng rng_{0};
-  FaultProfile profile_;
-  std::size_t ops_ = 0;
-};
-
-/// Parses a scripted schedule from "OP:KIND[,OP:KIND...]" where OP is the
-/// 0-based channel-operation index and KIND is drop | disconnect |
-/// delay[=SECONDS] | truncate | garbage. Example: "1:drop,3:delay=0.05,
-/// 4:disconnect". Throws ParseError on malformed specs.
-FaultSchedule parse_fault_schedule(const std::string& spec);
-
-/// MessageChannel decorator that injects faults from a FaultSchedule into
-/// every operation — the deterministic stand-in for a hostile network.
+/// MessageChannel decorator that injects faults from a ChannelFaultSchedule
+/// into every operation — the deterministic stand-in for a hostile network.
 /// Wrapping a TcpChannel enables frame-level faults (truncated frames,
 /// garbage bytes on the wire); over any other channel those degrade to a
 /// disconnect, which is the same failure class one layer up.
@@ -106,9 +76,11 @@ class FaultyChannel final : public MessageChannel {
   /// sequence through successive channels. `aggregate` (optional, borrowed)
   /// accumulates stats across all channels sharing it.
   FaultyChannel(std::unique_ptr<MessageChannel> inner,
-                std::shared_ptr<FaultSchedule> schedule, Stats* aggregate = nullptr);
+                std::shared_ptr<ChannelFaultSchedule> schedule,
+                Stats* aggregate = nullptr);
   FaultyChannel(std::unique_ptr<TcpChannel> inner,
-                std::shared_ptr<FaultSchedule> schedule, Stats* aggregate = nullptr);
+                std::shared_ptr<ChannelFaultSchedule> schedule,
+                Stats* aggregate = nullptr);
 
   void write(const std::string& message) override;
   std::optional<std::string> read() override;
@@ -117,13 +89,13 @@ class FaultyChannel final : public MessageChannel {
   const Stats& stats() const { return stats_; }
 
  private:
-  FaultAction begin_op();
-  void count(FaultKind kind);
-  [[noreturn]] void poison(const char* what, FaultKind kind);
+  ChannelFaultAction begin_op();
+  void count(ChannelFaultKind kind);
+  [[noreturn]] void poison(const char* what, ChannelFaultKind kind);
 
   std::unique_ptr<MessageChannel> inner_;
   TcpChannel* tcp_ = nullptr;  ///< non-null when frame-level faults are possible
-  std::shared_ptr<FaultSchedule> schedule_;
+  std::shared_ptr<ChannelFaultSchedule> schedule_;
   Stats stats_;
   Stats* aggregate_ = nullptr;
 };

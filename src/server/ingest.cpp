@@ -1,7 +1,5 @@
 #include "server/ingest.hpp"
 
-#include <cerrno>
-
 #include "server/protocol.hpp"
 #include "util/error.hpp"
 #include "util/kvtext.hpp"
@@ -14,18 +12,8 @@ IngestServer::IngestServer(UucsServer& server, Config config, Clock* clock)
   if (server_.has_journal()) {
     GroupCommitJournal::Config commit = config_.commit;
     if (config_.failpoints != nullptr && !commit.fault_hook) {
-      ServerFailpoints* fp = config_.failpoints;
-      commit.fault_hook = [fp] {
-        const ServerFaultAction action = fp->on_journal_batch();
-        JournalFault fault;
-        switch (action.kind) {
-          case ServerFaultKind::kEnospc: fault.err = ENOSPC; break;
-          case ServerFaultKind::kEio: fault.err = EIO; break;
-          case ServerFaultKind::kSlowFsync: fault.stall_s = action.delay_s; break;
-          default: break;
-        }
-        return fault;
-      };
+      ResourceFailpoints* fp = config_.failpoints;
+      commit.fault_hook = [fp] { return io_fault(fp->on_write()); };
     }
     committer_ = std::make_unique<GroupCommitJournal>(*server_.mutable_journal(),
                                                       commit);

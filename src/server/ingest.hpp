@@ -7,7 +7,6 @@
 #include <string>
 
 #include "server/event_loop.hpp"
-#include "server/failpoints.hpp"
 #include "server/overload.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
@@ -47,7 +46,7 @@ class IngestServer {
     OverloadController::Config overload;
     /// Optional fault-injection registry (chaos runs). Not owned; wired
     /// into the journal's fault hook and the pressure probe.
-    ServerFailpoints* failpoints = nullptr;
+    ResourceFailpoints* failpoints = nullptr;
   };
 
   /// `server` must outlive this object; its journal (if any) must be

@@ -10,9 +10,9 @@
 namespace uucs {
 
 /// A pair of connected in-process MessageChannels (like socketpair, but for
-/// whole messages). Used by the Internet-study simulator to run hundreds of
-/// client hot-syncs against one server object without real sockets, and by
-/// tests to exercise the exact wire codec the TCP transport uses.
+/// whole messages). Tests and bench_micro use it to exercise the exact wire
+/// codec the TCP transport uses without real sockets; the Internet-study
+/// simulator skips the codec entirely and calls LocalServerApi.
 class InProcChannelPair {
  public:
   InProcChannelPair();

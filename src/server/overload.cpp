@@ -98,7 +98,7 @@ void OverloadController::probe_once() {
   double frac = 1.0;
   bool have = false;
   if (config_.failpoints != nullptr) {
-    if (const auto injected = config_.failpoints->on_pressure_probe()) {
+    if (const auto injected = config_.failpoints->on_probe()) {
       frac = *injected;
       have = true;
     }

@@ -7,8 +7,8 @@
 #include <mutex>
 #include <thread>
 
-#include "server/failpoints.hpp"
 #include "server/protocol.hpp"
+#include "util/failpoint.hpp"
 
 namespace uucs {
 
@@ -66,7 +66,7 @@ class OverloadController {
     /// Backoff hint stamped on v3 busy/degraded replies.
     std::uint64_t retry_after_ms = 200;
     /// Optional probe override source (chaos runs). Not owned.
-    ServerFailpoints* failpoints = nullptr;
+    ResourceFailpoints* failpoints = nullptr;
   };
 
   explicit OverloadController(Config config) : config_(config) {}

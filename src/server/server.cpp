@@ -159,8 +159,10 @@ Guid UucsServer::register_client(const HostSpec& host, double now,
     if (it != reg_nonces_.end()) {
       // Retry of a registration whose response was lost: same client, same
       // GUID — no orphan row, nothing new to journal.
-      log_info("server", "duplicate registration (nonce " + nonce +
-                             ") -> existing client " + it->second.to_string());
+      if (Logger::instance().enabled(LogLevel::kInfo)) {
+        log_info("server", "duplicate registration (nonce " + nonce +
+                               ") -> existing client " + it->second.to_string());
+      }
       return it->second;
     }
   }
@@ -191,7 +193,9 @@ Guid UucsServer::register_client(const HostSpec& host, double now,
     std::lock_guard shard_lock(shard.mu);
     shard.clients.emplace(guid, std::move(reg));
   }
-  log_info("server", "registered client " + guid.to_string());
+  if (Logger::instance().enabled(LogLevel::kInfo)) {
+    log_info("server", "registered client " + guid.to_string());
+  }
   return guid;
 }
 

@@ -385,7 +385,7 @@ bool GroupCommitJournal::write_batch(const std::vector<std::string>& payloads,
   // Injected fault first: a simulated ENOSPC/EIO fails the attempt without
   // touching the file — exactly the shape of the headroom check below, so
   // the recovery path the chaos suite exercises is the production one.
-  JournalFault fault;
+  IoFault fault;
   if (config_.fault_hook) fault = config_.fault_hook();
   if (fault.stall_s > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double>(fault.stall_s));

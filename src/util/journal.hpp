@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/failpoint.hpp"
+
 namespace uucs {
 
 /// Crash-durable append-only log of opaque string payloads.
@@ -107,16 +109,6 @@ class Journal {
   std::string batch_buf_;
 };
 
-/// A disk fault injected into one group-commit batch attempt (the test hook
-/// through which the server-side failpoints reach the journal without the
-/// util layer depending on them). `err` of 0 passes clean; ENOSPC/EIO fail
-/// the batch as if the disk did; a positive `stall_s` delays the attempt
-/// first (a slow device), then writes for real.
-struct JournalFault {
-  int err = 0;
-  double stall_s = 0.0;
-};
-
 /// Group-commit front end for a Journal: appends from concurrent request
 /// handlers coalesce into one buffered write + one fsync on a dedicated
 /// commit thread, and each append's completion fires only after the batch
@@ -168,7 +160,7 @@ class GroupCommitJournal {
     std::size_t widened_batch_factor = 4;
     /// Consulted once per batch attempt before touching the disk; the
     /// chaos suite injects deterministic ENOSPC/EIO/slow-fsync here.
-    std::function<JournalFault()> fault_hook;
+    std::function<IoFault()> fault_hook;
   };
 
   struct Stats {

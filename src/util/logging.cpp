@@ -9,21 +9,11 @@ Logger& Logger::instance() {
   return logger;
 }
 
-void Logger::set_level(LogLevel level) {
-  std::lock_guard<std::mutex> lock(mu_);
-  level_ = level;
-}
-
-LogLevel Logger::level() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return level_;
-}
-
 void Logger::log(LogLevel level, const std::string& component,
                  const std::string& message) {
   static const char* kNames[] = {"DEBUG", "INFO", "WARN", "ERROR"};
+  if (!enabled(level)) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (level < level_ || level >= LogLevel::kOff) return;
   std::fprintf(stderr, "[%s] %s: %s\n", kNames[static_cast<int>(level)],
                component.c_str(), message.c_str());
 }

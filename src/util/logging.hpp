@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <mutex>
 #include <string>
 
@@ -19,16 +20,22 @@ class Logger {
   static Logger& instance();
 
   /// Messages below `level` are dropped.
-  void set_level(LogLevel level);
-  LogLevel level() const;
+  void set_level(LogLevel level) { level_.store(level); }
+  LogLevel level() const { return level_.load(); }
+
+  /// Whether a `level` message would be emitted. One atomic load: test it
+  /// before building a message on a per-request path.
+  bool enabled(LogLevel level) const {
+    return level >= this->level() && level < LogLevel::kOff;
+  }
 
   /// Emits one log line "[level] component: message" if enabled.
   void log(LogLevel level, const std::string& component, const std::string& message);
 
  private:
   Logger() = default;
-  mutable std::mutex mu_;
-  LogLevel level_ = LogLevel::kInfo;
+  std::mutex mu_;  ///< serializes output lines
+  std::atomic<LogLevel> level_{LogLevel::kInfo};
 };
 
 /// Convenience wrappers on the global logger.

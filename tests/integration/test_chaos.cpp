@@ -50,10 +50,9 @@ RunRecord make_result(const std::string& run_id) {
 
 /// Builds a RetryingServerApi whose every connection runs through a
 /// FaultyChannel drawing from one shared schedule.
-std::unique_ptr<RetryingServerApi> faulty_api(std::uint16_t port,
-                                              std::shared_ptr<FaultSchedule> schedule,
-                                              Clock& clock,
-                                              FaultyChannel::Stats* stats) {
+std::unique_ptr<RetryingServerApi> faulty_api(
+    std::uint16_t port, std::shared_ptr<ChannelFaultSchedule> schedule, Clock& clock,
+    FaultyChannel::Stats* stats) {
   RetryPolicy policy;
   policy.max_attempts = 25;  // survive long unlucky fault streaks
   policy.base_delay_s = 0.001;
@@ -74,8 +73,8 @@ TEST(Chaos, ExactlyOnceAcross50Seeds) {
     server.add_testcase(make_ramp_testcase(Resource::kMemory, 1.0, 120.0));
     IngestServer ingest(server, chaos_config());
 
-    auto schedule = std::make_shared<FaultSchedule>(
-        FaultSchedule::seeded(seed, FaultProfile::moderate()));
+    auto schedule = std::make_shared<ChannelFaultSchedule>(
+        ChannelFaultSchedule::seeded(seed, ChannelFaultProfile::moderate()));
     FaultyChannel::Stats stats;
     VirtualClock clock;  // backoff sleeps cost no wall time
     auto api = faulty_api(ingest.port(), schedule, clock, &stats);
@@ -128,8 +127,8 @@ TEST(Chaos, RealDaemonSurvivesFaultyTransport) {
   }
   IngestServer ingest(server, chaos_config());
 
-  auto schedule = std::make_shared<FaultSchedule>(
-      FaultSchedule::seeded(99, FaultProfile::moderate()));
+  auto schedule = std::make_shared<ChannelFaultSchedule>(
+      ChannelFaultSchedule::seeded(99, ChannelFaultProfile::moderate()));
   RealClock clock;
   auto api = faulty_api(ingest.port(), schedule, clock, nullptr);
 
@@ -183,8 +182,8 @@ TEST(Chaos, KillAndRecoverLosesNoJournaledRecord) {
     server.attach_journal(server_journal);
     IngestServer ingest(server, chaos_config());
 
-    auto schedule = std::make_shared<FaultSchedule>(
-        FaultSchedule::seeded(11, FaultProfile::moderate()));
+    auto schedule = std::make_shared<ChannelFaultSchedule>(
+        ChannelFaultSchedule::seeded(11, ChannelFaultProfile::moderate()));
     VirtualClock clock;
     auto api = faulty_api(ingest.port(), schedule, clock, nullptr);
 

@@ -18,11 +18,11 @@
 #include "client/run_executor.hpp"
 #include "exerciser/exerciser.hpp"
 #include "exerciser/exerciser_set.hpp"
-#include "exerciser/failpoints.hpp"
 #include "exerciser/supervisor.hpp"
 #include "server/protocol.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
 #include "util/fs.hpp"
 
 namespace uucs {
@@ -51,14 +51,14 @@ TEST(ChaosHost, EnospcAndEioDegradeInsteadOfCrashing) {
   RealClock clock;
   TempDir dir;
   ExerciserConfig cfg = chaos_config(dir.path());
-  cfg.failpoints = std::make_shared<HostFailpoints>();
+  cfg.failpoints = std::make_shared<ResourceFailpoints>();
   // The first 24 writes alternate ENOSPC and EIO, then the host recovers.
-  std::vector<HostFaultAction> script;
+  std::vector<ResourceFaultAction> script;
   for (int i = 0; i < 24; ++i) {
-    script.push_back({i % 2 == 0 ? HostFaultKind::kEnospc : HostFaultKind::kEio,
+    script.push_back({i % 2 == 0 ? ResourceFaultKind::kEnospc : ResourceFaultKind::kEio,
                       0.0, 1.0});
   }
-  cfg.failpoints->arm(HostFaultSchedule::scripted(std::move(script)));
+  cfg.failpoints->arm(ResourceFaultSchedule::scripted(std::move(script)));
 
   ExerciserSet set(clock, cfg);
   const auto outcome = set.run(disk_testcase(0.3));
@@ -79,13 +79,13 @@ TEST(ChaosHost, WatchdogBoundsInjectedSlowIoStall) {
   ExerciserConfig cfg = chaos_config(dir.path());
   cfg.watchdog_grace_s = 0.05;
   cfg.stop_bound_s = 0.1;
-  cfg.failpoints = std::make_shared<HostFailpoints>();
+  cfg.failpoints = std::make_shared<ResourceFailpoints>();
   // Every write stalls for a full second — far beyond duration + grace, so
   // the watchdog must fire and the stop bound must then be missed.
-  HostFaultProfile profile;
-  profile.slow_io = 1.0;
-  profile.slow_io_s = 1.0;
-  cfg.failpoints->arm(HostFaultSchedule::seeded(1, profile));
+  ResourceFaultProfile profile;
+  profile.slow = 1.0;
+  profile.slow_s = 1.0;
+  cfg.failpoints->arm(ResourceFaultSchedule::seeded(1, profile));
 
   const double t0 = clock.now();
   {
@@ -117,11 +117,11 @@ TEST(ChaosHost, RerunWhileWorkerWedgedReportsHung) {
   ExerciserConfig cfg = chaos_config(dir.path());
   cfg.watchdog_grace_s = 0.05;
   cfg.stop_bound_s = 0.05;
-  cfg.failpoints = std::make_shared<HostFailpoints>();
-  HostFaultProfile profile;
-  profile.slow_io = 1.0;
-  profile.slow_io_s = 1.0;
-  cfg.failpoints->arm(HostFaultSchedule::seeded(2, profile));
+  cfg.failpoints = std::make_shared<ResourceFailpoints>();
+  ResourceFaultProfile profile;
+  profile.slow = 1.0;
+  profile.slow_s = 1.0;
+  cfg.failpoints->arm(ResourceFaultSchedule::seeded(2, profile));
 
   ExerciserSet set(clock, cfg);
   const auto first = set.run(disk_testcase(0.05));
@@ -150,15 +150,15 @@ TEST(ChaosHost, MemoryPressureShrinksWorkingSet) {
   TempDir dir;
   ExerciserConfig cfg = chaos_config(dir.path());
   cfg.pressure_check_interval_s = 0.02;
-  cfg.failpoints = std::make_shared<HostFailpoints>();
+  cfg.failpoints = std::make_shared<ResourceFailpoints>();
   // Op 0 (the run-start probe) passes clean so the pool is fully sized;
   // every later probe reports a memory-starved host.
-  std::vector<HostFaultAction> script;
-  script.push_back({HostFaultKind::kNone, 0.0, 1.0});
+  std::vector<ResourceFaultAction> script;
+  script.push_back({ResourceFaultKind::kNone, 0.0, 1.0});
   for (int i = 0; i < 64; ++i) {
-    script.push_back({HostFaultKind::kMemPressure, 0.0, 0.01});
+    script.push_back({ResourceFaultKind::kPressure, 0.0, 0.01});
   }
-  cfg.failpoints->arm(HostFaultSchedule::scripted(std::move(script)));
+  cfg.failpoints->arm(ResourceFaultSchedule::scripted(std::move(script)));
 
   auto ex = make_memory_exerciser(clock, cfg);
   const double played = ex->run(make_constant(1.0, 0.2, 100.0));
@@ -166,18 +166,18 @@ TEST(ChaosHost, MemoryPressureShrinksWorkingSet) {
   const auto deg = ex->degradation();
   EXPECT_GT(deg.events, 0u);
   EXPECT_NE(deg.detail.find("pressure"), std::string::npos);
-  EXPECT_GT(cfg.failpoints->stats().mem_pressure, 0u);
+  EXPECT_GT(cfg.failpoints->stats().pressure, 0u);
 }
 
 TEST(ChaosHost, MemoryPoolCappedByHeadroomFloor) {
   RealClock clock;
   TempDir dir;
   ExerciserConfig cfg = chaos_config(dir.path());
-  cfg.failpoints = std::make_shared<HostFailpoints>();
+  cfg.failpoints = std::make_shared<ResourceFailpoints>();
   // The run-start probe itself reports the host nearly exhausted: the pool
   // must be capped before a single page is touched.
   cfg.failpoints->arm(
-      HostFaultSchedule::scripted({{HostFaultKind::kMemPressure, 0.0, 0.01}}));
+      ResourceFaultSchedule::scripted({{ResourceFaultKind::kPressure, 0.0, 0.01}}));
 
   auto ex = make_memory_exerciser(clock, cfg);
   ex->run(make_constant(1.0, 0.05, 100.0));
@@ -190,8 +190,9 @@ TEST(ChaosHost, StopHonoredWithinBoundUnderFaults) {
   RealClock clock;
   TempDir dir;
   ExerciserConfig cfg = chaos_config(dir.path());
-  cfg.failpoints = std::make_shared<HostFailpoints>();
-  cfg.failpoints->arm(HostFaultSchedule::seeded(7, HostFaultProfile::hostile()));
+  cfg.failpoints = std::make_shared<ResourceFailpoints>();
+  cfg.failpoints->arm(
+      ResourceFaultSchedule::seeded(7, ResourceFaultProfile::host_hostile()));
 
   ExerciserSet set(clock, cfg);
   Testcase tc("chaos-multi");
@@ -329,8 +330,9 @@ TEST(ChaosHost, SeededSweepEveryRunEndsTyped) {
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     TempDir dir;
     ExerciserConfig cfg = chaos_config(dir.path());
-    cfg.failpoints = std::make_shared<HostFailpoints>();
-    cfg.failpoints->arm(HostFaultSchedule::seeded(seed, HostFaultProfile::hostile()));
+    cfg.failpoints = std::make_shared<ResourceFailpoints>();
+    cfg.failpoints->arm(
+        ResourceFaultSchedule::seeded(seed, ResourceFaultProfile::host_hostile()));
 
     const double t0 = clock.now();
     {
@@ -365,38 +367,38 @@ TEST(ChaosHost, SeededSweepEveryRunEndsTyped) {
 }
 
 TEST(ChaosHost, FailpointGuardFreeWhenDisarmed) {
-  HostFailpoints fp;
+  ResourceFailpoints fp;
   EXPECT_FALSE(fp.armed());
   // Disarmed consultations are clean and consume nothing.
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(fp.on_disk_write().kind, HostFaultKind::kNone);
-    EXPECT_FALSE(fp.on_memory_probe().has_value());
+    EXPECT_EQ(fp.on_write().kind, ResourceFaultKind::kNone);
+    EXPECT_FALSE(fp.on_probe().has_value());
   }
-  EXPECT_EQ(fp.stats().disk_checks, 0u);
-  EXPECT_EQ(fp.stats().mem_checks, 0u);
+  EXPECT_EQ(fp.stats().write_checks, 0u);
+  EXPECT_EQ(fp.stats().probe_checks, 0u);
 }
 
 TEST(ChaosHost, ScheduleParsingAndDeterminism) {
   auto sched = parse_host_fault_schedule("0:enospc,2:slowio=0.05,3:pressure=0.01,5:eio");
-  EXPECT_EQ(sched.next().kind, HostFaultKind::kEnospc);
-  EXPECT_EQ(sched.next().kind, HostFaultKind::kNone);
+  EXPECT_EQ(sched.next().kind, ResourceFaultKind::kEnospc);
+  EXPECT_EQ(sched.next().kind, ResourceFaultKind::kNone);
   const auto slow = sched.next();
-  EXPECT_EQ(slow.kind, HostFaultKind::kSlowIo);
+  EXPECT_EQ(slow.kind, ResourceFaultKind::kSlow);
   EXPECT_DOUBLE_EQ(slow.delay_s, 0.05);
   const auto pressure = sched.next();
-  EXPECT_EQ(pressure.kind, HostFaultKind::kMemPressure);
+  EXPECT_EQ(pressure.kind, ResourceFaultKind::kPressure);
   EXPECT_DOUBLE_EQ(pressure.available_frac, 0.01);
-  EXPECT_EQ(sched.next().kind, HostFaultKind::kNone);
-  EXPECT_EQ(sched.next().kind, HostFaultKind::kEio);
-  EXPECT_EQ(sched.next().kind, HostFaultKind::kNone);  // past the script
+  EXPECT_EQ(sched.next().kind, ResourceFaultKind::kNone);
+  EXPECT_EQ(sched.next().kind, ResourceFaultKind::kEio);
+  EXPECT_EQ(sched.next().kind, ResourceFaultKind::kNone);  // past the script
 
   EXPECT_THROW(parse_host_fault_schedule("nonsense"), ParseError);
   EXPECT_THROW(parse_host_fault_schedule("0:frobnicate"), ParseError);
   EXPECT_THROW(parse_host_fault_schedule("0:pressure=2.0"), ParseError);
 
   // Same seed, same fault history — the reproducibility contract.
-  auto a = HostFaultSchedule::seeded(42, HostFaultProfile::hostile());
-  auto b = HostFaultSchedule::seeded(42, HostFaultProfile::hostile());
+  auto a = ResourceFaultSchedule::seeded(42, ResourceFaultProfile::host_hostile());
+  auto b = ResourceFaultSchedule::seeded(42, ResourceFaultProfile::host_hostile());
   for (int i = 0; i < 200; ++i) {
     const auto x = a.next();
     const auto y = b.next();

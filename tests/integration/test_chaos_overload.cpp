@@ -2,7 +2,7 @@
 // faults — the journal disk filling up or dying (ENOSPC/EIO), fsyncs
 // crawling (slow-fsync), a reconnect storm against a tiny admission queue,
 // and host memory pressure squeezing the accept gate. All over real TCP
-// with deterministic seeded ServerFailpoints. The invariant everywhere is
+// with deterministic seeded ResourceFailpoints. The invariant everywhere is
 // the same as the transport-chaos suite's: every acked record is stored
 // exactly once and survives on disk; nothing is lost, nothing duplicated,
 // and the server always recovers once the fault clears.
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "client/client.hpp"
-#include "server/failpoints.hpp"
 #include "server/ingest.hpp"
 #include "server/net.hpp"
 #include "server/retry.hpp"
@@ -26,6 +25,7 @@
 #include "testcase/suite.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
 #include "util/fs.hpp"
 #include "util/journal.hpp"
 
@@ -50,7 +50,7 @@ bool eventually(const std::function<bool()>& pred, double timeout_s = 10.0) {
 /// Ingest plane tuned for chaos: fast commit windows, fast degraded-recovery
 /// probes, slow-fsync adaptation armed, and a 1 ms backoff hint so retries
 /// cost the test almost nothing.
-IngestServer::Config chaos_config(ServerFailpoints* fp) {
+IngestServer::Config chaos_config(ResourceFailpoints* fp) {
   IngestServer::Config cfg;
   cfg.loop.port = 0;
   cfg.loop.workers = 2;
@@ -126,7 +126,7 @@ TEST(ChaosOverload, ExactlyOnceUnderSeededJournalFaults) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const std::string context = "seed " + std::to_string(seed);
     TempDir dir;
-    ServerFailpoints fp;
+    ResourceFailpoints fp;
     UucsServer server(seed, 4, /*shard_count=*/4);
     server.add_testcase(make_ramp_testcase(Resource::kMemory, 1.0, 120.0));
     server.attach_journal(dir.file("server.journal"));
@@ -134,12 +134,12 @@ TEST(ChaosOverload, ExactlyOnceUnderSeededJournalFaults) {
 
     // Hostile from the first batch: registrations and uploads both cross a
     // disk that fails ~30% of attempts and stalls another ~15%.
-    ServerFaultProfile hostile = ServerFaultProfile::hostile();
+    ResourceFaultProfile hostile = ResourceFaultProfile::server_hostile();
     hostile.enospc = 0.20;
     hostile.eio = 0.10;
-    hostile.slow_fsync = 0.15;
-    hostile.slow_fsync_s = 0.002;
-    fp.arm(ServerFaultSchedule::seeded(seed, hostile));
+    hostile.slow = 0.15;
+    hostile.slow_s = 0.002;
+    fp.arm(ResourceFaultSchedule::seeded(seed, hostile));
 
     VirtualClock clock;  // retry sleeps cost no wall time
     auto api = retrying_api(ingest.port(), clock, seed);
@@ -163,7 +163,7 @@ TEST(ChaosOverload, ExactlyOnceUnderSeededJournalFaults) {
 
     assert_exactly_once(server, minted, context);
     const auto fstats = fp.stats();
-    total_faults += fstats.enospc + fstats.eio + fstats.slow_fsync;
+    total_faults += fstats.enospc + fstats.eio + fstats.slow;
     total_degraded_spells += ingest.commit_stats().degraded_spells;
     api->disconnect();
     ingest.stop();
@@ -186,7 +186,7 @@ TEST(ChaosOverload, SlowFsyncStormWidensBatchesAndLosesNothing) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const std::string context = "seed " + std::to_string(seed);
     TempDir dir;
-    ServerFailpoints fp;
+    ResourceFailpoints fp;
     UucsServer server(seed, 4, /*shard_count=*/4);
     server.add_testcase(make_ramp_testcase(Resource::kMemory, 1.0, 120.0));
     server.attach_journal(dir.file("server.journal"));
@@ -194,10 +194,10 @@ TEST(ChaosOverload, SlowFsyncStormWidensBatchesAndLosesNothing) {
     config.commit.slow_fsync_threshold_s = 0.001;
     IngestServer ingest(server, config);
 
-    ServerFaultProfile crawl;  // a loaded disk: 60% of fsyncs take 3 ms
-    crawl.slow_fsync = 0.6;
-    crawl.slow_fsync_s = 0.003;
-    fp.arm(ServerFaultSchedule::seeded(seed, crawl));
+    ResourceFaultProfile crawl;  // a loaded disk: 60% of fsyncs take 3 ms
+    crawl.slow = 0.6;
+    crawl.slow_s = 0.003;
+    fp.arm(ResourceFaultSchedule::seeded(seed, crawl));
 
     VirtualClock clock;
     auto api = retrying_api(ingest.port(), clock, seed);
@@ -232,7 +232,7 @@ TEST(ChaosOverload, ReconnectStormIsShedNotCorrupted) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const std::string context = "seed " + std::to_string(seed);
     TempDir dir;
-    ServerFailpoints fp;
+    ResourceFailpoints fp;
     UucsServer server(seed, 4, /*shard_count=*/4);
     server.add_testcase(make_ramp_testcase(Resource::kMemory, 1.0, 120.0));
     server.attach_journal(dir.file("server.journal"));
@@ -313,7 +313,7 @@ TEST(ChaosOverload, MemoryPressureGatesAcceptAndRecovers) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const std::string context = "seed " + std::to_string(seed);
     TempDir dir;
-    ServerFailpoints fp;
+    ResourceFailpoints fp;
     UucsServer server(seed, 4, /*shard_count=*/4);
     server.add_testcase(make_ramp_testcase(Resource::kMemory, 1.0, 120.0));
     server.attach_journal(dir.file("server.journal"));
@@ -324,10 +324,10 @@ TEST(ChaosOverload, MemoryPressureGatesAcceptAndRecovers) {
 
     // ~70% of probes report a starved host: the accept gate slams shut and
     // reopens as the probe stream flaps, while connected work continues.
-    ServerFaultProfile squeeze;
+    ResourceFaultProfile squeeze;
     squeeze.pressure = 0.7;
     squeeze.pressure_available_frac = 0.01;
-    fp.arm(ServerFaultSchedule::seeded(seed, squeeze));
+    fp.arm(ResourceFaultSchedule::seeded(seed, squeeze));
 
     VirtualClock clock;
     auto api = retrying_api(ingest.port(), clock, seed);

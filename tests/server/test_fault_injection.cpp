@@ -31,22 +31,22 @@ std::unique_ptr<MessageChannel> borrow(MessageChannel& inner) {
 }
 
 TEST(FaultSchedule, ScriptedRunsCleanPastScriptEnd) {
-  auto s = FaultSchedule::scripted({{FaultKind::kDrop, 0.0}});
-  EXPECT_EQ(s.next().kind, FaultKind::kDrop);
-  EXPECT_EQ(s.next().kind, FaultKind::kNone);
-  EXPECT_EQ(s.next().kind, FaultKind::kNone);
+  auto s = ChannelFaultSchedule::scripted({{ChannelFaultKind::kDrop, 0.0}});
+  EXPECT_EQ(s.next().kind, ChannelFaultKind::kDrop);
+  EXPECT_EQ(s.next().kind, ChannelFaultKind::kNone);
+  EXPECT_EQ(s.next().kind, ChannelFaultKind::kNone);
   EXPECT_EQ(s.ops(), 3u);
 }
 
 TEST(FaultSchedule, SeededIsDeterministic) {
-  auto a = FaultSchedule::seeded(42, FaultProfile::moderate());
-  auto b = FaultSchedule::seeded(42, FaultProfile::moderate());
+  auto a = ChannelFaultSchedule::seeded(42, ChannelFaultProfile::moderate());
+  auto b = ChannelFaultSchedule::seeded(42, ChannelFaultProfile::moderate());
   std::size_t faults = 0;
   for (int i = 0; i < 500; ++i) {
-    const FaultAction fa = a.next();
-    const FaultAction fb = b.next();
+    const ChannelFaultAction fa = a.next();
+    const ChannelFaultAction fb = b.next();
     EXPECT_EQ(fa.kind, fb.kind);
-    if (fa.kind != FaultKind::kNone) ++faults;
+    if (fa.kind != ChannelFaultKind::kNone) ++faults;
   }
   // moderate() faults roughly a quarter of operations.
   EXPECT_GT(faults, 50u);
@@ -54,28 +54,39 @@ TEST(FaultSchedule, SeededIsDeterministic) {
 }
 
 TEST(FaultSchedule, ParseScripted) {
-  auto s = parse_fault_schedule("1:drop,3:delay=0.25,4:disconnect");
-  EXPECT_EQ(s.next().kind, FaultKind::kNone);
-  EXPECT_EQ(s.next().kind, FaultKind::kDrop);
-  EXPECT_EQ(s.next().kind, FaultKind::kNone);
-  const FaultAction delay = s.next();
-  EXPECT_EQ(delay.kind, FaultKind::kDelay);
+  auto s = parse_channel_fault_schedule("1:drop,3:delay=0.25,4:disconnect");
+  EXPECT_EQ(s.next().kind, ChannelFaultKind::kNone);
+  EXPECT_EQ(s.next().kind, ChannelFaultKind::kDrop);
+  EXPECT_EQ(s.next().kind, ChannelFaultKind::kNone);
+  const ChannelFaultAction delay = s.next();
+  EXPECT_EQ(delay.kind, ChannelFaultKind::kDelay);
   EXPECT_DOUBLE_EQ(delay.delay_s, 0.25);
-  EXPECT_EQ(s.next().kind, FaultKind::kDisconnect);
-  EXPECT_EQ(s.next().kind, FaultKind::kNone);
+  EXPECT_EQ(s.next().kind, ChannelFaultKind::kDisconnect);
+  EXPECT_EQ(s.next().kind, ChannelFaultKind::kNone);
 }
 
 TEST(FaultSchedule, ParseRejectsMalformed) {
-  EXPECT_THROW(parse_fault_schedule("nonsense"), ParseError);
-  EXPECT_THROW(parse_fault_schedule("x:drop"), ParseError);
-  EXPECT_THROW(parse_fault_schedule("1:frobnicate"), ParseError);
-  EXPECT_THROW(parse_fault_schedule("1:delay=-2"), ParseError);
-  EXPECT_THROW(parse_fault_schedule("-1:drop"), ParseError);
+  EXPECT_THROW(parse_channel_fault_schedule("nonsense"), ParseError);
+  EXPECT_THROW(parse_channel_fault_schedule("x:drop"), ParseError);
+  EXPECT_THROW(parse_channel_fault_schedule("1:frobnicate"), ParseError);
+  EXPECT_THROW(parse_channel_fault_schedule("1:delay=-2"), ParseError);
+  EXPECT_THROW(parse_channel_fault_schedule("-1:drop"), ParseError);
+}
+
+TEST(FaultSchedule, HugeOpIndicesParseSparsely) {
+  // INT64_MAX and a mid-range index cost two map entries, not a dense
+  // vector of that length.
+  auto s = parse_channel_fault_schedule(
+      "9223372036854775807:drop,100000000:garbage,1:disconnect");
+  EXPECT_EQ(s.next().kind, ChannelFaultKind::kNone);
+  EXPECT_EQ(s.next().kind, ChannelFaultKind::kDisconnect);
+  EXPECT_EQ(s.next().kind, ChannelFaultKind::kNone);
+  EXPECT_THROW(parse_channel_fault_schedule("9223372036854775808:drop"), ParseError);
 }
 
 TEST(FaultyChannel, CleanScheduleIsTransparent) {
   InProcChannelPair pair;
-  auto schedule = std::make_shared<FaultSchedule>(FaultSchedule::none());
+  auto schedule = std::make_shared<ChannelFaultSchedule>(ChannelFaultSchedule::none());
   FaultyChannel faulty(borrow(pair.a()), schedule);
   faulty.write("ping");
   EXPECT_EQ(pair.b().read(), "ping");
@@ -87,8 +98,8 @@ TEST(FaultyChannel, CleanScheduleIsTransparent) {
 
 TEST(FaultyChannel, DropSwallowsWrite) {
   InProcChannelPair pair;
-  auto schedule = std::make_shared<FaultSchedule>(
-      FaultSchedule::scripted({{FaultKind::kDrop, 0.0}}));
+  auto schedule = std::make_shared<ChannelFaultSchedule>(
+      ChannelFaultSchedule::scripted({{ChannelFaultKind::kDrop, 0.0}}));
   FaultyChannel faulty(borrow(pair.a()), schedule);
   faulty.write("lost");
   faulty.write("delivered");
@@ -98,8 +109,8 @@ TEST(FaultyChannel, DropSwallowsWrite) {
 
 TEST(FaultyChannel, DropDiscardsOneIncomingMessage) {
   InProcChannelPair pair;
-  auto schedule = std::make_shared<FaultSchedule>(
-      FaultSchedule::scripted({{FaultKind::kDrop, 0.0}}));
+  auto schedule = std::make_shared<ChannelFaultSchedule>(
+      ChannelFaultSchedule::scripted({{ChannelFaultKind::kDrop, 0.0}}));
   FaultyChannel faulty(borrow(pair.a()), schedule);
   pair.b().write("response one");
   pair.b().write("response two");
@@ -108,8 +119,8 @@ TEST(FaultyChannel, DropDiscardsOneIncomingMessage) {
 
 TEST(FaultyChannel, DisconnectPoisonsOperation) {
   InProcChannelPair pair;
-  auto schedule = std::make_shared<FaultSchedule>(
-      FaultSchedule::scripted({{FaultKind::kDisconnect, 0.0}}));
+  auto schedule = std::make_shared<ChannelFaultSchedule>(
+      ChannelFaultSchedule::scripted({{ChannelFaultKind::kDisconnect, 0.0}}));
   FaultyChannel faulty(borrow(pair.a()), schedule);
   EXPECT_THROW(faulty.write("never sent"), ProtocolError);
   EXPECT_EQ(faulty.stats().disconnects, 1u);
@@ -119,8 +130,8 @@ TEST(FaultyChannel, DisconnectPoisonsOperation) {
 
 TEST(FaultyChannel, DelayPassesThrough) {
   InProcChannelPair pair;
-  auto schedule = std::make_shared<FaultSchedule>(
-      FaultSchedule::scripted({{FaultKind::kDelay, 0.001}}));
+  auto schedule = std::make_shared<ChannelFaultSchedule>(
+      ChannelFaultSchedule::scripted({{ChannelFaultKind::kDelay, 0.001}}));
   FaultyChannel faulty(borrow(pair.a()), schedule);
   faulty.write("slow but intact");
   EXPECT_EQ(pair.b().read(), "slow but intact");
@@ -129,8 +140,8 @@ TEST(FaultyChannel, DelayPassesThrough) {
 
 TEST(FaultyChannel, TruncateDegradesToDisconnectOffTcp) {
   InProcChannelPair pair;
-  auto schedule = std::make_shared<FaultSchedule>(
-      FaultSchedule::scripted({{FaultKind::kTruncate, 0.0}}));
+  auto schedule = std::make_shared<ChannelFaultSchedule>(
+      ChannelFaultSchedule::scripted({{ChannelFaultKind::kTruncate, 0.0}}));
   FaultyChannel faulty(borrow(pair.a()), schedule);
   EXPECT_THROW(faulty.write("torn"), ProtocolError);
   EXPECT_EQ(pair.b().read(), std::nullopt);
@@ -153,8 +164,8 @@ TEST(FaultyChannel, TruncateOverTcpTearsTheFrame) {
   auto server_side = accept_one(listener, client);
   server_side->set_deadlines({0, 1.0, 1.0});
 
-  auto schedule = std::make_shared<FaultSchedule>(
-      FaultSchedule::scripted({{FaultKind::kTruncate, 0.0}}));
+  auto schedule = std::make_shared<ChannelFaultSchedule>(
+      ChannelFaultSchedule::scripted({{ChannelFaultKind::kTruncate, 0.0}}));
   FaultyChannel faulty(std::move(client), schedule);
   EXPECT_THROW(faulty.write("this frame will be cut short"), ProtocolError);
   // The peer sees a frame header promising more bytes than ever arrive.
@@ -167,8 +178,8 @@ TEST(FaultyChannel, GarbageOverTcpBreaksFraming) {
   auto server_side = accept_one(listener, client);
   server_side->set_deadlines({0, 1.0, 1.0});
 
-  auto schedule = std::make_shared<FaultSchedule>(
-      FaultSchedule::scripted({{FaultKind::kGarbage, 0.0}}));
+  auto schedule = std::make_shared<ChannelFaultSchedule>(
+      ChannelFaultSchedule::scripted({{ChannelFaultKind::kGarbage, 0.0}}));
   FaultyChannel faulty(std::move(client), schedule);
   EXPECT_THROW(faulty.write("replaced by garbage"), ProtocolError);
   EXPECT_THROW(server_side->read(), ProtocolError);
@@ -238,8 +249,9 @@ TEST(RetryingServerApi, RetriesThroughDroppedResponse) {
   std::thread server_thread([&] { serve_tcp(server, listener); });
 
   // Operation sequence per attempt is write+read; drop the first response.
-  auto schedule = std::make_shared<FaultSchedule>(
-      FaultSchedule::scripted({{FaultKind::kNone, 0.0}, {FaultKind::kDrop, 0.0}}));
+  auto schedule = std::make_shared<ChannelFaultSchedule>(
+      ChannelFaultSchedule::scripted(
+          {{ChannelFaultKind::kNone, 0.0}, {ChannelFaultKind::kDrop, 0.0}}));
   VirtualClock clock;
   RetryingServerApi api(
       [&] {
@@ -267,9 +279,9 @@ TEST(RetryingServerApi, RetriesThroughDroppedResponse) {
 
 TEST(RetryingServerApi, StalledChannelExhaustsAttempts) {
   // A schedule that drops every single operation: nothing ever completes.
-  std::vector<FaultAction> all_drops(64, {FaultKind::kDisconnect, 0.0});
-  auto schedule =
-      std::make_shared<FaultSchedule>(FaultSchedule::scripted(std::move(all_drops)));
+  std::vector<ChannelFaultAction> all_drops(64, {ChannelFaultKind::kDisconnect, 0.0});
+  auto schedule = std::make_shared<ChannelFaultSchedule>(
+      ChannelFaultSchedule::scripted(std::move(all_drops)));
 
   InProcChannelPair pair;
   VirtualClock clock;

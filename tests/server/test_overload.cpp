@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "monitor/sysinfo.hpp"
-#include "server/failpoints.hpp"
 #include "server/ingest.hpp"
 #include "server/net.hpp"
 #include "server/overload.hpp"
@@ -30,6 +29,7 @@
 #include "testcase/suite.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
 #include "util/fs.hpp"
 #include "util/kvtext.hpp"
 
@@ -182,15 +182,15 @@ TEST(OverloadGate, DisabledGateAdmitsEverything) {
 TEST(ServerFaults, ParsesScriptedSchedules) {
   auto schedule =
       parse_server_fault_schedule("0:enospc,2:slow-fsync=0.5,3:pressure=0.25");
-  EXPECT_EQ(schedule.next().kind, ServerFaultKind::kEnospc);
-  EXPECT_EQ(schedule.next().kind, ServerFaultKind::kNone);
+  EXPECT_EQ(schedule.next().kind, ResourceFaultKind::kEnospc);
+  EXPECT_EQ(schedule.next().kind, ResourceFaultKind::kNone);
   const auto slow = schedule.next();
-  EXPECT_EQ(slow.kind, ServerFaultKind::kSlowFsync);
+  EXPECT_EQ(slow.kind, ResourceFaultKind::kSlow);
   EXPECT_DOUBLE_EQ(slow.delay_s, 0.5);
   const auto pressure = schedule.next();
-  EXPECT_EQ(pressure.kind, ServerFaultKind::kPressure);
+  EXPECT_EQ(pressure.kind, ResourceFaultKind::kPressure);
   EXPECT_DOUBLE_EQ(pressure.available_frac, 0.25);
-  EXPECT_EQ(schedule.next().kind, ServerFaultKind::kNone);  // past the script
+  EXPECT_EQ(schedule.next().kind, ResourceFaultKind::kNone);  // past the script
 }
 
 TEST(ServerFaults, RejectsJunkSchedules) {
@@ -201,9 +201,9 @@ TEST(ServerFaults, RejectsJunkSchedules) {
 }
 
 TEST(ServerFaults, SeededSchedulesAreDeterministic) {
-  auto a = ServerFaultSchedule::seeded(42, ServerFaultProfile::hostile());
-  auto b = ServerFaultSchedule::seeded(42, ServerFaultProfile::hostile());
-  auto c = ServerFaultSchedule::seeded(43, ServerFaultProfile::hostile());
+  auto a = ResourceFaultSchedule::seeded(42, ResourceFaultProfile::server_hostile());
+  auto b = ResourceFaultSchedule::seeded(42, ResourceFaultProfile::server_hostile());
+  auto c = ResourceFaultSchedule::seeded(43, ResourceFaultProfile::server_hostile());
   std::size_t differing = 0;
   for (int i = 0; i < 200; ++i) {
     const auto fa = a.next(), fb = b.next(), fc = c.next();
@@ -216,22 +216,22 @@ TEST(ServerFaults, SeededSchedulesAreDeterministic) {
 }
 
 TEST(ServerFaults, DisarmedRegistryInjectsNothing) {
-  ServerFailpoints fp;
-  EXPECT_EQ(fp.on_journal_batch().kind, ServerFaultKind::kNone);
-  EXPECT_FALSE(fp.on_pressure_probe().has_value());
+  ResourceFailpoints fp;
+  EXPECT_EQ(fp.on_write().kind, ResourceFaultKind::kNone);
+  EXPECT_FALSE(fp.on_probe().has_value());
   fp.arm(parse_server_fault_schedule("0:enospc"));
-  EXPECT_EQ(fp.on_journal_batch().kind, ServerFaultKind::kEnospc);
+  EXPECT_EQ(fp.on_write().kind, ResourceFaultKind::kEnospc);
   fp.disarm();
-  EXPECT_EQ(fp.on_journal_batch().kind, ServerFaultKind::kNone);
+  EXPECT_EQ(fp.on_write().kind, ResourceFaultKind::kNone);
   const auto stats = fp.stats();
   EXPECT_EQ(stats.enospc, 1u);
-  EXPECT_GE(stats.batch_checks, 1u);
+  EXPECT_GE(stats.write_checks, 1u);
 }
 
 // ------------------------------------------------------ pressure gate ----
 
 TEST(OverloadGate, PressureProbePausesAndResumesAccept) {
-  ServerFailpoints fp;
+  ResourceFailpoints fp;
   // First probe: 5% available — pause. Second: 90% — above the 1.5x-floor
   // hysteresis band, resume. Later probes fall through to the real host
   // probe, which cannot re-pause a healthy test machine below 25%.
@@ -258,9 +258,9 @@ TEST(OverloadGate, PressureProbePausesAndResumesAccept) {
 }
 
 TEST(OverloadGate, StopReleasesAHeldAcceptGate) {
-  ServerFailpoints fp;
-  fp.arm(ServerFaultSchedule::scripted(std::vector<ServerFaultAction>(
-      64, ServerFaultAction{ServerFaultKind::kPressure, 0.0, 0.01})));
+  ResourceFailpoints fp;
+  fp.arm(ResourceFaultSchedule::scripted(std::vector<ResourceFaultAction>(
+      64, ResourceFaultAction{ResourceFaultKind::kPressure, 0.0, 0.01})));
   OverloadController::Config cfg;
   cfg.min_available_frac = 0.25;
   cfg.pressure_interval_s = 0.005;
@@ -306,7 +306,7 @@ TEST(OverloadTcp, DegradedJournalShedsWritesServesReadsAndRecoversOnce) {
   UucsServer server(91, 4, /*shard_count=*/4);
   server.add_testcase(make_ramp_testcase(Resource::kMemory, 1.0, 120.0));
   server.attach_journal(dir.file("server.journal"));
-  ServerFailpoints fp;
+  ResourceFailpoints fp;
   auto config = ingest_config();
   config.failpoints = &fp;
   config.overload.retry_after_ms = 123;
@@ -319,8 +319,8 @@ TEST(OverloadTcp, DegradedJournalShedsWritesServesReadsAndRecoversOnce) {
   ASSERT_EQ(api.negotiated_version(), 3);
 
   // Disk dies: every batch attempt from now on fails with ENOSPC.
-  fp.arm(ServerFaultSchedule::scripted(std::vector<ServerFaultAction>(
-      256, ServerFaultAction{ServerFaultKind::kEnospc, 0.0, 1.0})));
+  fp.arm(ResourceFaultSchedule::scripted(std::vector<ResourceFaultAction>(
+      256, ResourceFaultAction{ResourceFaultKind::kEnospc, 0.0, 1.0})));
 
   SyncRequest upload;
   upload.guid = guid;
@@ -386,7 +386,7 @@ TEST(OverloadTcp, V1PeerIsShedSilentlyWireBytesPinned) {
   UucsServer server(92, 4, /*shard_count=*/2);
   server.add_testcase(make_ramp_testcase(Resource::kMemory, 1.0, 120.0));
   server.attach_journal(dir.file("server.journal"));
-  ServerFailpoints fp;
+  ResourceFailpoints fp;
   auto config = ingest_config();
   config.failpoints = &fp;
   IngestServer ingest(server, config);
@@ -395,8 +395,8 @@ TEST(OverloadTcp, V1PeerIsShedSilentlyWireBytesPinned) {
   RemoteServerApi api(*channel, /*protocol_version=*/1);
   const Guid guid = api.register_client(HostSpec::paper_study_machine(), "n-v1");
 
-  fp.arm(ServerFaultSchedule::scripted(std::vector<ServerFaultAction>(
-      256, ServerFaultAction{ServerFaultKind::kEnospc, 0.0, 1.0})));
+  fp.arm(ResourceFaultSchedule::scripted(std::vector<ResourceFaultAction>(
+      256, ResourceFaultAction{ResourceFaultKind::kEnospc, 0.0, 1.0})));
 
   SyncRequest upload;
   upload.guid = guid;
@@ -420,7 +420,7 @@ TEST(OverloadTcp, StatsRequestRoundTripsEvenWhenDegraded) {
   TempDir dir;
   UucsServer server(93, 4, /*shard_count=*/2);
   server.attach_journal(dir.file("server.journal"));
-  ServerFailpoints fp;
+  ResourceFailpoints fp;
   auto config = ingest_config();
   config.failpoints = &fp;
   IngestServer ingest(server, config);

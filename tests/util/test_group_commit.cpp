@@ -166,7 +166,7 @@ TEST(GroupCommit, InjectedEnospcDegradesParksAndRecoversExactlyOnce) {
   cfg.max_wait_us = 0;
   cfg.recheck_interval_ms = 5;
   cfg.fault_hook = [&] {
-    JournalFault f;
+    IoFault f;
     if (failing.load()) f.err = ENOSPC;
     return f;
   };
@@ -229,7 +229,7 @@ TEST(GroupCommit, BarrierDuringDegradedFailsFastWithoutParking) {
   cfg.max_wait_us = 0;
   cfg.recheck_interval_ms = 5;
   cfg.fault_hook = [&] {
-    JournalFault f;
+    IoFault f;
     if (failing.load()) f.err = EIO;
     return f;
   };
@@ -287,7 +287,7 @@ TEST(GroupCommit, SlowFsyncsWidenTheGroupWindowThenNarrowBack) {
   cfg.widened_batch_factor = 4;
   cfg.slow_fsync_threshold_s = 0.002;
   cfg.fault_hook = [&] {
-    JournalFault f;
+    IoFault f;
     if (slow.load()) f.stall_s = 0.01;  // a loaded spinning disk
     return f;
   };

@@ -23,6 +23,16 @@ TEST_F(LoggingTest, LevelRoundTrip) {
   EXPECT_EQ(Logger::instance().level(), LogLevel::kDebug);
 }
 
+TEST_F(LoggingTest, EnabledFollowsTheThreshold) {
+  Logger::instance().set_level(LogLevel::kWarn);
+  EXPECT_FALSE(Logger::instance().enabled(LogLevel::kInfo));
+  EXPECT_TRUE(Logger::instance().enabled(LogLevel::kWarn));
+  EXPECT_TRUE(Logger::instance().enabled(LogLevel::kError));
+  EXPECT_FALSE(Logger::instance().enabled(LogLevel::kOff));
+  Logger::instance().set_level(LogLevel::kOff);
+  EXPECT_FALSE(Logger::instance().enabled(LogLevel::kError));
+}
+
 TEST_F(LoggingTest, BelowThresholdIsDropped) {
   // No crash and no way to observe stderr here; this exercises the filter
   // paths including kOff, which must drop everything.

@@ -41,9 +41,9 @@
 #include <string>
 
 #include "client/daemon.hpp"
-#include "exerciser/failpoints.hpp"
 #include "server/net.hpp"
 #include "server/retry.hpp"
+#include "util/failpoint.hpp"
 #include "util/fs.hpp"
 #include "util/logging.hpp"
 
@@ -182,10 +182,11 @@ int main(int argc, char** argv) {
       clock, retry_policy);
 
   if (failpoint_seeded || !failpoint_script.empty()) {
-    exerciser_config.failpoints = std::make_shared<HostFailpoints>();
+    exerciser_config.failpoints = std::make_shared<ResourceFailpoints>();
     exerciser_config.failpoints->arm(
         failpoint_script.empty()
-            ? HostFaultSchedule::seeded(failpoint_seed, HostFaultProfile::hostile())
+            ? ResourceFaultSchedule::seeded(failpoint_seed,
+                                            ResourceFaultProfile::host_hostile())
             : parse_host_fault_schedule(failpoint_script));
     std::printf("host failpoints armed (%s) — runs may report degraded/failed "
                 "outcomes by design\n",

@@ -279,12 +279,13 @@ int main(int argc, char** argv) {
 
   // Deterministic server-side fault injection (chaos tests drive this; in
   // production the registry stays disarmed and costs one atomic load).
-  ServerFailpoints failpoints;
+  ResourceFailpoints failpoints;
   if (!fault_spec.empty()) {
     try {
       if (fault_spec.rfind("seed:", 0) == 0) {
         const std::uint64_t seed = std::stoull(fault_spec.substr(5));
-        failpoints.arm(ServerFaultSchedule::seeded(seed, ServerFaultProfile::hostile()));
+        failpoints.arm(
+            ResourceFaultSchedule::seeded(seed, ResourceFaultProfile::server_hostile()));
       } else {
         failpoints.arm(parse_server_fault_schedule(fault_spec));
       }

@@ -68,7 +68,6 @@
 #include "client/client.hpp"
 #include "core/comfort_profile.hpp"
 #include "exerciser/exerciser_set.hpp"
-#include "exerciser/failpoints.hpp"
 #include "server/fault_injection.hpp"
 #include "server/retry.hpp"
 #include "study/controlled_study.hpp"
@@ -426,9 +425,9 @@ int cmd_chaos(const std::string& host, std::uint16_t port,
     }
   }
 
-  auto schedule = std::make_shared<FaultSchedule>(
-      spec.empty() ? FaultSchedule::seeded(seed, FaultProfile::moderate())
-                   : parse_fault_schedule(spec));
+  auto schedule = std::make_shared<ChannelFaultSchedule>(
+      spec.empty() ? ChannelFaultSchedule::seeded(seed, ChannelFaultProfile::moderate())
+                   : parse_channel_fault_schedule(spec));
   FaultyChannel::Stats stats;
   RealClock clock;
   RetryPolicy policy;
@@ -713,7 +712,7 @@ int cmd_chaoshost(const std::vector<std::string>& raw) {
   cfg.max_threads = 2;
   cfg.watchdog_grace_s = 0.5;
   cfg.stop_bound_s = 0.5;
-  cfg.failpoints = std::make_shared<HostFailpoints>();
+  cfg.failpoints = std::make_shared<ResourceFailpoints>();
 
   Testcase tc("chaoshost-probe");
   tc.set_function(Resource::kCpu, make_constant(0.5, duration_s, 20.0));
@@ -727,9 +726,10 @@ int cmd_chaoshost(const std::vector<std::string>& raw) {
     ExerciserSet set(clock, cfg);
     for (std::size_t i = 0; i < seeds; ++i) {
       const std::uint64_t seed = seed_base + i;
-      cfg.failpoints->arm(spec.empty()
-                              ? HostFaultSchedule::seeded(seed, HostFaultProfile::hostile())
-                              : parse_host_fault_schedule(spec));
+      cfg.failpoints->arm(
+          spec.empty()
+              ? ResourceFaultSchedule::seeded(seed, ResourceFaultProfile::host_hostile())
+              : parse_host_fault_schedule(spec));
       const auto outcome = set.run(tc);
       if (outcome.watchdog_fired) ++watchdogs;
       for (Resource r : tc.resources()) {
@@ -759,8 +759,8 @@ int cmd_chaoshost(const std::vector<std::string>& raw) {
   std::printf("(watchdog fired %zu)\n", watchdogs);
   std::printf("injected %zu faults over %zu ops (enospc %zu, eio %zu, slowio %zu, "
               "pressure %zu)\n",
-              stats.injected(), stats.disk_checks + stats.mem_checks, stats.enospc,
-              stats.eio, stats.slow_io, stats.mem_pressure);
+              stats.injected(), stats.write_checks + stats.probe_checks, stats.enospc,
+              stats.eio, stats.slow, stats.pressure);
 
   const auto leftovers = list_files(disk_dir);
   if (!leftovers.empty()) {
