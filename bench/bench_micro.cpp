@@ -4,6 +4,7 @@
 /// machinery the analysis pipeline leans on, and a full simulated run.
 
 #include <benchmark/benchmark.h>
+#include <sys/socket.h>
 
 #include <array>
 #include <atomic>
@@ -18,7 +19,7 @@
 #include "engine/session_engine.hpp"
 #include "monitor/sampler.hpp"
 #include "server/fault_injection.hpp"
-#include "server/inproc.hpp"
+#include "server/net.hpp"
 #include "server/server.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/user_model.hpp"
@@ -540,22 +541,18 @@ BENCHMARK(BM_JournalRecover)->Arg(1000)->Arg(10000)
 
 void BM_FaultyChannelCleanOverhead(benchmark::State& state) {
   // What the fault decorator costs when no fault fires: one RNG draw and a
-  // counter bump per op, on top of the in-process queue round trip. The
-  // baseline (Arg 0) is the bare channel; Arg 1 wraps it in a FaultyChannel
-  // drawing from a seeded schedule whose probabilities are all zero.
-  class Borrowed final : public uucs::MessageChannel {
-   public:
-    explicit Borrowed(uucs::MessageChannel& inner) : inner_(inner) {}
-    void write(const std::string& m) override { inner_.write(m); }
-    std::optional<std::string> read() override { return inner_.read(); }
-    void close() override { inner_.close(); }
-
-   private:
-    uucs::MessageChannel& inner_;
-  };
-  uucs::InProcChannelPair pair;
+  // counter bump per op, on top of a framed round trip over an AF_UNIX
+  // socketpair. The baseline (Arg 0) is the bare channel; Arg 1 wraps it in
+  // a FaultyChannel drawing from a seeded schedule whose probabilities are
+  // all zero.
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    state.SkipWithError("socketpair failed");
+    return;
+  }
   std::unique_ptr<uucs::MessageChannel> channel =
-      std::make_unique<Borrowed>(pair.a());
+      std::make_unique<uucs::TcpChannel>(fds[0]);
+  uucs::TcpChannel peer(fds[1]);
   if (state.range(0) != 0) {
     auto schedule = std::make_shared<uucs::ChannelFaultSchedule>(
         uucs::ChannelFaultSchedule::seeded(1, uucs::ChannelFaultProfile{}));
@@ -565,8 +562,8 @@ void BM_FaultyChannelCleanOverhead(benchmark::State& state) {
   const std::string request(256, 'q');
   for (auto _ : state) {
     channel->write(request);
-    benchmark::DoNotOptimize(pair.b().read());
-    pair.b().write(request);
+    benchmark::DoNotOptimize(peer.read());
+    peer.write(request);
     benchmark::DoNotOptimize(channel->read());
   }
   state.SetLabel(state.range(0) ? "faulty (no faults)" : "bare channel");
@@ -601,13 +598,16 @@ BENCHMARK(BM_MemoryPressureProbe)->Unit(benchmark::kMicrosecond);
 void BM_HotSyncDispatch(benchmark::State& state) {
   // Server-side hot sync with two fresh results per request, with (Arg 1)
   // and without (Arg 0) the fsync'd journal attached — the durability tax
-  // on the accept path.
+  // on the accept path. The journaled arm appends each sync's entries as
+  // one fsync'd batch, the write a group commit of one request makes.
   uucs::TempDir dir;
   uucs::UucsServer server(1, 4);
   server.add_testcase(uucs::make_ramp_testcase(uucs::Resource::kCpu, 1.0, 120.0));
-  if (state.range(0) != 0) server.attach_journal(dir.file("server.journal"));
   const uucs::Guid guid =
       server.register_client(uucs::HostSpec::paper_study_machine(), 0.0);
+  if (state.range(0) != 0) server.attach_journal(dir.file("server.journal"));
+  uucs::Journal* journal = server.mutable_journal();
+  std::vector<std::string> entries;
   std::uint64_t serial = 0;
   for (auto _ : state) {
     uucs::SyncRequest request;
@@ -621,7 +621,9 @@ void BM_HotSyncDispatch(benchmark::State& state) {
       r.offset_s = 1.0;
       request.results.push_back(std::move(r));
     }
-    benchmark::DoNotOptimize(server.hot_sync(request).accepted_results);
+    entries.clear();
+    benchmark::DoNotOptimize(server.hot_sync(request, &entries).accepted_results);
+    if (journal != nullptr) journal->append_batch(entries);
   }
   state.SetLabel(state.range(0) ? "journaled" : "in-memory");
 }

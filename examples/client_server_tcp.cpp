@@ -1,14 +1,14 @@
-/// The full distributed loop over real TCP on localhost: a UUCS server
-/// thread serving the wire protocol, and a client that registers, hot-syncs
+/// The full distributed loop over real TCP on localhost: the UUCS ingest
+/// plane serving the wire protocol, and a client that registers, hot-syncs
 /// a growing random sample of testcases, executes one of them with the real
 /// exercisers (scaled down to two seconds), and uploads the result — the
 /// complete §2 architecture in one process.
 
 #include <cstdio>
-#include <thread>
 
 #include "client/client.hpp"
 #include "client/run_executor.hpp"
+#include "server/ingest.hpp"
 #include "server/net.hpp"
 #include "testcase/suite.hpp"
 #include "util/logging.hpp"
@@ -25,17 +25,12 @@ int main() {
     server.add_testcase(
         make_ramp_testcase(Resource::kCpu, 0.5 + 0.1 * i, 2.0, 10.0));
   }
-  TcpListener listener(0);
-  std::thread server_thread([&] {
-    while (auto conn = listener.accept()) {
-      serve_channel(server, *conn);
-    }
-  });
+  IngestServer ingest(server, {});
   std::printf("server listening on 127.0.0.1:%u with %zu testcases\n",
-              listener.port(), server.testcases().size());
+              ingest.port(), server.testcases().size());
 
   // --- client side ---------------------------------------------------------
-  auto channel = TcpChannel::connect("127.0.0.1", listener.port());
+  auto channel = TcpChannel::connect("127.0.0.1", ingest.port());
   RemoteServerApi api(*channel);
 
   UucsClient client(HostSpec::detect());
@@ -64,11 +59,9 @@ int main() {
 
   client.record_result(std::move(run));
   client.hot_sync(api);
+  channel->close();
+  ingest.stop();
   std::printf("result uploaded; server now holds %zu results\n",
               server.results().size());
-
-  channel->close();
-  listener.shutdown();
-  server_thread.join();
   return 0;
 }

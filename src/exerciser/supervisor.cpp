@@ -86,11 +86,13 @@ SupervisedOutcome RunSupervisor::supervise(const std::vector<Worker>& workers,
     slots.push_back(slot);
     // The exception barrier: whatever a worker throws — a SystemError from
     // a failed pwrite, an mmap failure, a library bug — becomes a typed
-    // report. An uncaught exception here would be std::terminate.
-    threads.emplace_back([slot, ex = w.exerciser, f = w.function] {
+    // report. An uncaught exception here would be std::terminate. The
+    // worker owns a copy of its function: an abandoned worker outlives the
+    // caller's Testcase, which the pointer in `w` points into.
+    threads.emplace_back([slot, ex = w.exerciser, f = *w.function] {
       ResourceReport report;
       try {
-        report.played_s = ex->run(*f);
+        report.played_s = ex->run(f);
         const auto deg = ex->degradation();
         report.degraded_events = deg.events;
         if (deg.events > 0) {

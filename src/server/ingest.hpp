@@ -28,9 +28,9 @@ namespace uucs {
 /// the fsync of the batch carrying the original entry. Without a journal,
 /// responses leave as soon as the worker finishes.
 ///
-/// Exactly-once is end-to-end unchanged from the blocking stack: clients
-/// mint run_ids, the server dedups them, and nothing is acked before it is
-/// durable — only the *batching* of the durability write is new.
+/// Exactly-once end to end: clients mint run_ids, the server dedups them,
+/// and nothing is acked before the group commit has made it durable. This
+/// is the only path from wire bytes to a durable ack.
 class IngestServer {
  public:
   struct Config {

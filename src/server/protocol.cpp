@@ -185,7 +185,13 @@ RequestPeek peek_request(std::string_view request) noexcept {
     pos = nl == std::string_view::npos ? sv.size() : nl + 1;
     if (line.empty() || line.front() == '#') continue;
     if (line.front() == '[') {
-      if (in_head) break;  // second record: the head is fully scanned
+      if (in_head) {
+        // A second record after a sync head is an upload whatever the head
+        // claims: the dispatcher stores [run] records even when the
+        // result_count key is missing, so the request is write-class.
+        if (peek.op == RequestPeek::Op::kSync) peek.write_class = true;
+        break;  // the head is fully scanned
+      }
       if (line.back() != ']') break;
       const std::string_view name = trim(line.substr(1, line.size() - 2));
       if (name == "register-request") {
@@ -283,27 +289,29 @@ SyncResponse decode_sync_response(const std::vector<KvRecord>& records) {
 
 }  // namespace
 
-namespace {
-
-/// Shared dispatch body. `journal_out == nullptr` is the blocking path (the
-/// server journals + fsyncs internally before returning); non-null is the
-/// deferred path (entries come back for the caller's group commit).
-///
 /// The parse is zero-copy: the request is sliced into a per-worker-thread
 /// KvDoc arena whose index vectors stay warm across requests, so the
 /// steady-state sync path allocates nothing between the frame buffer and
 /// the typed SyncRequest. The views live only until this function returns
 /// (or the same thread dispatches again) — everything that outlives the
 /// call (run records, registration state) is copied by the decoders.
-std::string dispatch_impl(UucsServer& server, std::string_view request,
-                          Clock* clock, std::vector<std::string>* journal_out) {
+DispatchResult dispatch_request_deferred(UucsServer& server,
+                                         std::string_view request,
+                                         Clock* clock) {
+  DispatchResult result;
   try {
     thread_local KvDoc doc;
     doc.parse(request);
-    if (doc.empty()) return encode_error("empty request");
+    if (doc.empty()) {
+      result.response = encode_error("empty request");
+      return result;
+    }
     const std::string_view op = doc.at(0).type();
     if (op == "register-request") {
-      if (doc.size() < 2) return encode_error("register request missing host");
+      if (doc.size() < 2) {
+        result.response = encode_error("register request missing host");
+        return result;
+      }
       // Version negotiation: answer the highest version both sides speak. A
       // client newer than us simply gets our ceiling back; a malformed
       // version is a typed ProtocolError answered as [error], never a hang.
@@ -313,40 +321,21 @@ std::string dispatch_impl(UucsServer& server, std::string_view request,
       const HostSpec host = HostSpec::from_record(doc.at(1).materialize());
       const Guid guid = server.register_client(host, clock ? clock->now() : 0.0,
                                                doc.at(0).get_or("nonce", ""),
-                                               journal_out);
-      return encode_register_response(guid, negotiated);
-    }
-    if (op == "sync-request") {
+                                               &result.journal_entries);
+      result.response = encode_register_response(guid, negotiated);
+    } else if (op == "sync-request") {
       const SyncRequest req = decode_sync_request(doc);
-      return encode_sync_response(server.hot_sync(req, journal_out));
+      result.response =
+          encode_sync_response(server.hot_sync(req, &result.journal_entries));
+    } else {
+      result.response = encode_error("unknown operation '" + std::string(op) + "'");
     }
-    return encode_error("unknown operation '" + std::string(op) + "'");
   } catch (const std::exception& e) {
     // An error response acknowledges nothing, so nothing needs durability.
-    if (journal_out != nullptr) journal_out->clear();
-    return encode_error(e.what());
+    result.journal_entries.clear();
+    result.response = encode_error(e.what());
   }
-}
-
-}  // namespace
-
-std::string dispatch_request(UucsServer& server, std::string_view request,
-                             Clock* clock) {
-  return dispatch_impl(server, request, clock, nullptr);
-}
-
-DispatchResult dispatch_request_deferred(UucsServer& server,
-                                         std::string_view request,
-                                         Clock* clock) {
-  DispatchResult result;
-  result.response = dispatch_impl(server, request, clock, &result.journal_entries);
   return result;
-}
-
-void serve_channel(UucsServer& server, MessageChannel& channel, Clock* clock) {
-  while (const auto request = channel.read()) {
-    channel.write(dispatch_request(server, *request, clock));
-  }
 }
 
 std::string RemoteServerApi::round_trip(const std::string& request) {

@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "server/server.hpp"
 #include "util/clock.hpp"
@@ -30,7 +31,9 @@ class ServerApi {
   virtual SyncResponse hot_sync(const SyncRequest& request) = 0;
 };
 
-/// Direct adapter over an in-process UucsServer (no serialization).
+/// Direct adapter over an in-process UucsServer (no serialization). The
+/// server must have no journal: a direct call has nowhere to make new state
+/// durable, so a journaled server refuses it (see UucsServer::hot_sync).
 class LocalServerApi final : public ServerApi {
  public:
   explicit LocalServerApi(UucsServer& server, Clock* clock = nullptr)
@@ -125,35 +128,26 @@ struct RequestPeek {
 /// anyway.
 RequestPeek peek_request(std::string_view request) noexcept;
 
-/// Server-side dispatch of one encoded request; returns the encoded
-/// response (an [error] message for malformed or failing requests).
-/// Journals and fsyncs accepted state before returning, so the returned
-/// response may be sent immediately. `request` is only read during the
-/// call (the parse is zero-copy into a per-thread arena), so callers may
-/// pass a view into a transient frame buffer.
-std::string dispatch_request(UucsServer& server, std::string_view request,
-                             Clock* clock = nullptr);
-
-/// Result of a deferred-durability dispatch: the encoded response plus the
-/// journal entries that must be made durable *before* the response is
-/// released to the client. Empty `journal_entries` (read-only or duplicate
-/// requests, errors) means the response may be sent at once.
+/// Result of one server-side dispatch: the encoded response (an [error]
+/// message for malformed or failing requests) plus the journal entries that
+/// must be made durable *before* the response is released to the client.
+/// Empty `journal_entries` (read-only or duplicate requests, errors, or a
+/// server without a journal) means the response may be sent at once.
 struct DispatchResult {
   std::string response;
   std::vector<std::string> journal_entries;
 };
 
-/// Like dispatch_request, but does not touch the journal itself: new state
-/// is applied in memory and the entries that make it durable are handed
-/// back. The ingest plane feeds them to the group-commit journal and sends
-/// the response from the batch's durability callback, which is what lets
-/// thousands of concurrent acks share one fsync.
+/// Server-side dispatch of one encoded request. New state is applied in
+/// memory and the entries that make it durable are handed back; the ingest
+/// plane feeds them to the group-commit journal and sends the response from
+/// the batch's durability callback, which is what lets thousands of
+/// concurrent acks share one fsync. `request` is only read during the call
+/// (the parse is zero-copy into a per-thread arena), so callers may pass a
+/// view into a transient frame buffer.
 DispatchResult dispatch_request_deferred(UucsServer& server,
                                          std::string_view request,
                                          Clock* clock = nullptr);
-
-/// Serves a channel until the peer closes: read request, dispatch, reply.
-void serve_channel(UucsServer& server, MessageChannel& channel, Clock* clock = nullptr);
 
 /// ServerApi speaking the wire protocol over a MessageChannel. Throws
 /// ProtocolError on malformed responses and Error on [error] replies.

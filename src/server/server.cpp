@@ -145,14 +145,11 @@ void UucsServer::index_results() {
   }
 }
 
-void UucsServer::append_blocking(const std::vector<std::string>& entries) {
-  std::lock_guard lock(journal_mu_);
-  journal_->append_batch(entries);
-}
-
 Guid UucsServer::register_client(const HostSpec& host, double now,
                                  const std::string& nonce,
                                  std::vector<std::string>* journal_out) {
+  UUCS_CHECK_MSG(!journal_ || journal_out != nullptr,
+                 "journaled server needs journal_out to make a registration durable");
   std::lock_guard reg_lock(reg_mu_);
   if (!nonce.empty()) {
     const auto it = reg_nonces_.find(nonce);
@@ -178,14 +175,9 @@ Guid UucsServer::register_client(const HostSpec& host, double now,
   reg.nonce = nonce;
   const Guid guid = reg.guid;
   if (journal_) {
-    std::vector<std::string> entries{kv_serialize({registration_record(guid, reg)})};
-    if (journal_out != nullptr) {
-      // Deferred-ack path: the caller owns durability (group commit) and
-      // must fsync these before the response leaves the server.
-      for (auto& e : entries) journal_out->push_back(std::move(e));
-    } else {
-      append_blocking(entries);
-    }
+    // The caller owns durability (group commit) and must fsync this before
+    // the response leaves the server.
+    journal_out->push_back(kv_serialize({registration_record(guid, reg)}));
   }
   if (!nonce.empty()) reg_nonces_[nonce] = guid;
   {
@@ -233,12 +225,13 @@ bool UucsServer::has_result(const std::string& run_id) const {
 
 SyncResponse UucsServer::hot_sync(const SyncRequest& request,
                                   std::vector<std::string>* journal_out) {
+  UUCS_CHECK_MSG(!journal_ || journal_out != nullptr,
+                 "journaled server needs journal_out to make a sync durable");
   Shard& shard = shard_of(request.guid);
   SyncResponse response;
   response.protocol_version =
       request.protocol_version == 0 ? 1 : request.protocol_version;
   response.server_generation = generation();
-  std::vector<std::string> journal_entries;
   {
     std::lock_guard shard_lock(shard.mu);
     const auto it = shard.clients.find(request.guid);
@@ -263,11 +256,11 @@ SyncResponse UucsServer::hot_sync(const SyncRequest& request,
         response.stored_run_ids.push_back(r.run_id);
       }
       if (journal_) {
-        // Journal bytes are pinned: serialize_into is byte-identical to
-        // kv_serialize({r.to_record()}) without the intermediate KvRecord.
-        std::string entry;
-        r.serialize_into(entry);
-        journal_entries.push_back(std::move(entry));
+        // Durable before acknowledged: the caller's group commit fsyncs this
+        // entry before the response leaves, so a crash cannot lose what was
+        // acked. Journal bytes are pinned: serialize_into is byte-identical
+        // to kv_serialize({r.to_record()}) without the intermediate KvRecord.
+        r.serialize_into(journal_out->emplace_back());
       }
       shard.results.add(r);
       ++response.accepted_results;
@@ -292,18 +285,6 @@ SyncResponse UucsServer::hot_sync(const SyncRequest& request,
     }
     ++reg.sync_count;
     if (request.sync_seq > reg.last_sync_seq) reg.last_sync_seq = request.sync_seq;
-  }
-
-  // Durable before acknowledged: once the response leaves, a crash cannot
-  // lose what it acked. The blocking path fsyncs here; the deferred path
-  // hands the entries to the caller's group commit, which fsyncs the batch
-  // before releasing any of its responses.
-  if (journal_ && !journal_entries.empty()) {
-    if (journal_out != nullptr) {
-      for (auto& e : journal_entries) journal_out->push_back(std::move(e));
-    } else {
-      append_blocking(journal_entries);
-    }
   }
   return response;
 }
@@ -398,10 +379,7 @@ void UucsServer::save(const std::string& dir) const {
   // Each snapshot file above is written atomically + durably (tmp + fsync +
   // rename), so only after all of them are safely on disk may the journal —
   // the only other copy of acknowledged data — be compacted away.
-  if (journal_) {
-    std::lock_guard journal_lock(journal_mu_);
-    journal_->compact({});
-  }
+  if (journal_) journal_->compact({});
 }
 
 UucsServer UucsServer::load(const std::string& dir, std::uint64_t seed,

@@ -67,9 +67,11 @@ struct SyncResponse {
 ///
 /// Uploads are idempotent: results are deduplicated by run_id, so a client
 /// that retries a hot sync after a lost response stores each record exactly
-/// once. With attach_journal(), every accepted result and registration is
-/// journaled (fsync'd) before it is acknowledged, so a crash between
-/// save() snapshots loses nothing.
+/// once. With attach_journal(), every accepted result and registration
+/// yields a journal entry that register_client/hot_sync hand back to the
+/// caller, and the caller makes those entries durable before it releases
+/// the acknowledgement — the ingest plane through its group-commit journal
+/// — so a crash between save() snapshots loses nothing that was acked.
 ///
 /// Sharding (the million-connection ingest plane, DESIGN.md §13): the
 /// mutable per-client state — registrations, the run_id dedup index, the
@@ -117,11 +119,12 @@ class UucsServer {
   /// a snapshot), its GUID is returned instead of minting an orphan — so a
   /// client retrying after a lost register response stays one client.
   ///
-  /// With a journal attached and `journal_out == nullptr`, the registration
-  /// entry is appended (fsync'd) before this returns. With `journal_out`
-  /// non-null the entry is handed back instead, and the caller must make it
-  /// durable before releasing the response — the ingest plane routes it
-  /// through the group-commit journal and acks on batch fsync.
+  /// With a journal attached, the registration entry is appended to
+  /// `*journal_out`, and the caller must make it durable before releasing
+  /// the response — the ingest plane routes it through the group-commit
+  /// journal and acks on batch fsync. A journaled server called with
+  /// `journal_out == nullptr` fails UUCS_CHECK before changing any state:
+  /// it could only produce an ack that is not durable.
   Guid register_client(const HostSpec& host, double now = 0.0,
                        const std::string& nonce = "",
                        std::vector<std::string>* journal_out = nullptr);
@@ -135,10 +138,10 @@ class UucsServer {
   /// run_id) and returns a fresh batch of testcases the client does not
   /// have yet. Throws Error for an unregistered guid.
   ///
-  /// Journal handling matches register_client: with `journal_out` null the
-  /// accepted results are appended + fsync'd before returning; non-null
-  /// hands the entries back for the caller's group commit, which must fsync
-  /// them before the response (the ack) leaves the server.
+  /// Journal handling matches register_client: with a journal attached the
+  /// accepted results' entries are appended to `*journal_out` (which must
+  /// be non-null), and the caller fsyncs them before the response (the ack)
+  /// leaves the server.
   SyncResponse hot_sync(const SyncRequest& request,
                         std::vector<std::string>* journal_out = nullptr);
 
@@ -157,10 +160,10 @@ class UucsServer {
   ResultStore& mutable_results();
 
   /// Opens (creating if needed) an fsync'd append-only journal at `path`,
-  /// replays any entries that survived a crash, and from now on journals
-  /// every accepted result and registration before acknowledging it.
-  /// Returns the number of journal entries recovered. Replayed entries are
-  /// routed to shards by the client GUID they carry.
+  /// replays any entries that survived a crash, and from now on hands back a
+  /// journal entry for every accepted result and registration (see
+  /// register_client). Returns the number of journal entries recovered.
+  /// Replayed entries are routed to shards by the client GUID they carry.
   std::size_t attach_journal(const std::string& path);
   bool has_journal() const { return journal_ != nullptr; }
   const Journal* journal() const { return journal_.get(); }
@@ -170,8 +173,9 @@ class UucsServer {
   /// registrations.txt). With a journal attached, the journal is compacted
   /// to empty afterwards — the snapshot now holds everything. Takes every
   /// shard lock, so it is safe to call while syncs are in flight (they
-  /// stall for the snapshot's duration); the journal side must be quiesced
-  /// by the caller when a group-commit thread is attached to it.
+  /// stall for the snapshot's duration); the caller must quiesce whatever
+  /// appends to the journal (IngestServer runs this inside its committer's
+  /// exclusive section).
   void save(const std::string& dir) const;
 
   /// Loads stores previously saved with save().
@@ -204,7 +208,6 @@ class UucsServer {
   void restore_registration(const KvRecord& rec);
   bool restore_result(RunRecord r, bool dedup);
   void index_results();
-  void append_blocking(const std::vector<std::string>& entries);
 
   TestcaseStore testcases_;
   mutable std::shared_mutex testcases_mu_;
@@ -218,7 +221,6 @@ class UucsServer {
 
   std::size_t sample_batch_;
   std::unique_ptr<Journal> journal_;
-  mutable std::mutex journal_mu_;  ///< serializes blocking appends
 
   std::atomic<std::uint64_t> generation_{0};
 

@@ -226,8 +226,11 @@ TEST(Chaos, KillAndRecoverLosesNoJournaledRecord) {
   EXPECT_EQ(client.pending_results().size(), 2u);
 
   // A clean final sync delivers the stragglers: five records, each once.
-  LocalServerApi api(server);
+  IngestServer ingest(server, chaos_config());
+  auto channel = TcpChannel::connect("127.0.0.1", ingest.port(), {1.0, 5.0, 1.0});
+  RemoteServerApi api(*channel);
   client.hot_sync(api);
+  ingest.stop();
   EXPECT_EQ(server.results().size(), minted.size());
   for (const auto& id : minted) EXPECT_TRUE(server.has_result(id)) << id;
 }

@@ -119,6 +119,24 @@ std::unique_ptr<NewProcess> take_over(const std::string& sock, std::uint64_t see
   return next;
 }
 
+/// Joins every joinable thread when it goes out of scope. An ASSERT that
+/// returns early, or a takeover that throws, then fails the test instead of
+/// destroying joinable threads (which is std::terminate).
+class JoinOnExit {
+ public:
+  explicit JoinOnExit(std::vector<std::thread>& threads) : threads_(threads) {}
+  ~JoinOnExit() {
+    for (auto& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+  }
+  JoinOnExit(const JoinOnExit&) = delete;
+  JoinOnExit& operator=(const JoinOnExit&) = delete;
+
+ private:
+  std::vector<std::thread>& threads_;
+};
+
 void expect_exactly_once(const UucsServer& server,
                          const std::vector<std::string>& minted,
                          const std::string& context) {
@@ -148,6 +166,7 @@ TEST(ChaosUpgrade, CleanTakeoverUnderLoadAcross20Seeds) {
     std::atomic<bool> failed{false};
     std::vector<std::thread> threads;
     threads.reserve(kClients);
+    const JoinOnExit join_clients(threads);
     for (int c = 0; c < kClients; ++c) {
       threads.emplace_back([&, c] {
         try {

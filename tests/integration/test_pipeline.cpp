@@ -5,11 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "analysis/export.hpp"
 #include "client/client.hpp"
 #include "core/comfort_profile.hpp"
+#include "server/ingest.hpp"
 #include "server/net.hpp"
 #include "study/controlled_study.hpp"
 #include "util/fs.hpp"
@@ -47,20 +46,16 @@ TEST(Pipeline, StudyResultsThroughWireProtocolToServer) {
   const auto out = study::run_controlled_study(small_study());
 
   UucsServer server(9);
-  TcpListener listener(0);
-  std::thread server_thread([&] {
-    auto conn = listener.accept();
-    if (conn) serve_channel(server, *conn);
-  });
+  IngestServer ingest(server, {});
 
-  auto channel = TcpChannel::connect("127.0.0.1", listener.port());
+  auto channel = TcpChannel::connect("127.0.0.1", ingest.port());
   RemoteServerApi api(*channel);
   UucsClient client(HostSpec::paper_study_machine());
   client.ensure_registered(api);
   for (const auto& rec : out.results.records()) client.record_result(rec);
   client.hot_sync(api);
   channel->close();
-  server_thread.join();
+  ingest.stop();
 
   ASSERT_EQ(server.results().size(), out.results.size());
   // Metrics computed on the server side match the originals exactly.

@@ -4,7 +4,8 @@
 
 #include <thread>
 
-#include "server/inproc.hpp"
+#include "channel_pair.hpp"
+#include "server/ingest.hpp"
 #include "server/retry.hpp"
 #include "testcase/suite.hpp"
 #include "util/clock.hpp"
@@ -12,23 +13,6 @@
 
 namespace uucs {
 namespace {
-
-/// Non-owning MessageChannel view so a FaultyChannel can wrap one end of an
-/// InProcChannelPair (which owns both ends itself).
-class BorrowedChannel final : public MessageChannel {
- public:
-  explicit BorrowedChannel(MessageChannel& inner) : inner_(inner) {}
-  void write(const std::string& m) override { inner_.write(m); }
-  std::optional<std::string> read() override { return inner_.read(); }
-  void close() override { inner_.close(); }
-
- private:
-  MessageChannel& inner_;
-};
-
-std::unique_ptr<MessageChannel> borrow(MessageChannel& inner) {
-  return std::make_unique<BorrowedChannel>(inner);
-}
 
 TEST(FaultSchedule, ScriptedRunsCleanPastScriptEnd) {
   auto s = ChannelFaultSchedule::scripted({{ChannelFaultKind::kDrop, 0.0}});
@@ -85,66 +69,71 @@ TEST(FaultSchedule, HugeOpIndicesParseSparsely) {
 }
 
 TEST(FaultyChannel, CleanScheduleIsTransparent) {
-  InProcChannelPair pair;
+  ChannelPair pair = make_channel_pair();
   auto schedule = std::make_shared<ChannelFaultSchedule>(ChannelFaultSchedule::none());
-  FaultyChannel faulty(borrow(pair.a()), schedule);
+  FaultyChannel faulty(std::move(pair.a), schedule);
   faulty.write("ping");
-  EXPECT_EQ(pair.b().read(), "ping");
-  pair.b().write("pong");
+  EXPECT_EQ(pair.b->read(), "ping");
+  pair.b->write("pong");
   EXPECT_EQ(faulty.read(), "pong");
   EXPECT_EQ(faulty.stats().ops, 2u);
   EXPECT_EQ(faulty.stats().faults(), 0u);
 }
 
 TEST(FaultyChannel, DropSwallowsWrite) {
-  InProcChannelPair pair;
+  ChannelPair pair = make_channel_pair();
   auto schedule = std::make_shared<ChannelFaultSchedule>(
       ChannelFaultSchedule::scripted({{ChannelFaultKind::kDrop, 0.0}}));
-  FaultyChannel faulty(borrow(pair.a()), schedule);
+  FaultyChannel faulty(std::move(pair.a), schedule);
   faulty.write("lost");
   faulty.write("delivered");
-  EXPECT_EQ(pair.b().read(), "delivered");
+  EXPECT_EQ(pair.b->read(), "delivered");
   EXPECT_EQ(faulty.stats().drops, 1u);
 }
 
 TEST(FaultyChannel, DropDiscardsOneIncomingMessage) {
-  InProcChannelPair pair;
+  ChannelPair pair = make_channel_pair();
   auto schedule = std::make_shared<ChannelFaultSchedule>(
       ChannelFaultSchedule::scripted({{ChannelFaultKind::kDrop, 0.0}}));
-  FaultyChannel faulty(borrow(pair.a()), schedule);
-  pair.b().write("response one");
-  pair.b().write("response two");
+  FaultyChannel faulty(std::move(pair.a), schedule);
+  pair.b->write("response one");
+  pair.b->write("response two");
   EXPECT_EQ(faulty.read(), "response two");
 }
 
 TEST(FaultyChannel, DisconnectPoisonsOperation) {
-  InProcChannelPair pair;
+  ChannelPair pair = make_channel_pair();
   auto schedule = std::make_shared<ChannelFaultSchedule>(
       ChannelFaultSchedule::scripted({{ChannelFaultKind::kDisconnect, 0.0}}));
-  FaultyChannel faulty(borrow(pair.a()), schedule);
+  FaultyChannel faulty(std::move(pair.a), schedule);
   EXPECT_THROW(faulty.write("never sent"), ProtocolError);
   EXPECT_EQ(faulty.stats().disconnects, 1u);
   // The inner channel really closed: the peer sees EOF.
-  EXPECT_EQ(pair.b().read(), std::nullopt);
+  EXPECT_EQ(pair.b->read(), std::nullopt);
 }
 
 TEST(FaultyChannel, DelayPassesThrough) {
-  InProcChannelPair pair;
+  ChannelPair pair = make_channel_pair();
   auto schedule = std::make_shared<ChannelFaultSchedule>(
       ChannelFaultSchedule::scripted({{ChannelFaultKind::kDelay, 0.001}}));
-  FaultyChannel faulty(borrow(pair.a()), schedule);
+  FaultyChannel faulty(std::move(pair.a), schedule);
   faulty.write("slow but intact");
-  EXPECT_EQ(pair.b().read(), "slow but intact");
+  EXPECT_EQ(pair.b->read(), "slow but intact");
   EXPECT_EQ(faulty.stats().delays, 1u);
 }
 
 TEST(FaultyChannel, TruncateDegradesToDisconnectOffTcp) {
-  InProcChannelPair pair;
+  // Any inner channel that is not a TcpChannel has no frame to tear; a
+  // fault-free FaultyChannel stands in for one here.
+  ChannelPair pair = make_channel_pair();
+  auto clean = std::make_unique<FaultyChannel>(
+      std::move(pair.a),
+      std::make_shared<ChannelFaultSchedule>(ChannelFaultSchedule::none()));
   auto schedule = std::make_shared<ChannelFaultSchedule>(
       ChannelFaultSchedule::scripted({{ChannelFaultKind::kTruncate, 0.0}}));
-  FaultyChannel faulty(borrow(pair.a()), schedule);
+  FaultyChannel faulty(std::move(clean), schedule);
   EXPECT_THROW(faulty.write("torn"), ProtocolError);
-  EXPECT_EQ(pair.b().read(), std::nullopt);
+  EXPECT_EQ(pair.b->read(), std::nullopt);
 }
 
 /// Accepts one TCP connection and returns the server-side channel.
@@ -214,26 +203,6 @@ TEST(TcpChannel, WriteDeadlineFiresWhenPeerNeverDrains) {
   (void)server_side;
 }
 
-/// Serves `server` over TCP until the listener shuts down, one connection
-/// at a time (each faulty connection ends with an exception or EOF).
-void serve_tcp(UucsServer& server, TcpListener& listener) {
-  for (;;) {
-    std::unique_ptr<TcpChannel> conn;
-    try {
-      conn = listener.accept();
-    } catch (const Error&) {
-      return;
-    }
-    if (!conn) return;
-    conn->set_deadlines({0, 5.0, 5.0});
-    try {
-      serve_channel(server, *conn);
-    } catch (const Error&) {
-      // Faulty connection tore down mid-exchange; wait for the next one.
-    }
-  }
-}
-
 RetryPolicy fast_retries() {
   RetryPolicy policy;
   policy.max_attempts = 6;
@@ -245,8 +214,7 @@ RetryPolicy fast_retries() {
 TEST(RetryingServerApi, RetriesThroughDroppedResponse) {
   UucsServer server(1, 8);
   server.add_testcase(make_ramp_testcase(Resource::kMemory, 1.0, 120.0));
-  TcpListener listener(0);
-  std::thread server_thread([&] { serve_tcp(server, listener); });
+  IngestServer ingest(server, {});
 
   // Operation sequence per attempt is write+read; drop the first response.
   auto schedule = std::make_shared<ChannelFaultSchedule>(
@@ -256,7 +224,7 @@ TEST(RetryingServerApi, RetriesThroughDroppedResponse) {
   RetryingServerApi api(
       [&] {
         return std::make_unique<FaultyChannel>(
-            TcpChannel::connect("127.0.0.1", listener.port(), {1.0, 0.2, 1.0}),
+            TcpChannel::connect("127.0.0.1", ingest.port(), {1.0, 0.2, 1.0}),
             schedule);
       },
       clock, fast_retries());
@@ -272,9 +240,7 @@ TEST(RetryingServerApi, RetriesThroughDroppedResponse) {
   // at the same instant (pinned by BusyRetry.FirstBackoffDelayIsJittered...).
   EXPECT_GE(api.backoff_delays()[0], 0.001);
   EXPECT_LE(api.backoff_delays()[0], 0.003);
-
-  listener.shutdown();
-  server_thread.join();
+  ingest.stop();
 }
 
 TEST(RetryingServerApi, StalledChannelExhaustsAttempts) {
@@ -283,12 +249,14 @@ TEST(RetryingServerApi, StalledChannelExhaustsAttempts) {
   auto schedule = std::make_shared<ChannelFaultSchedule>(
       ChannelFaultSchedule::scripted(std::move(all_drops)));
 
-  InProcChannelPair pair;
   VirtualClock clock;
   RetryPolicy policy = fast_retries();
   policy.max_attempts = 3;
   RetryingServerApi api(
-      [&] { return std::make_unique<FaultyChannel>(borrow(pair.a()), schedule); },
+      [&] {
+        return std::make_unique<FaultyChannel>(make_channel_pair().a,
+                                               schedule);
+      },
       clock, policy);
 
   EXPECT_THROW(api.register_client(HostSpec::detect()), ProtocolError);
@@ -303,12 +271,11 @@ TEST(RetryingServerApi, StalledChannelExhaustsAttempts) {
 
 TEST(RetryingServerApi, ApplicationErrorsAreNotRetried) {
   UucsServer server(1, 8);
-  TcpListener listener(0);
-  std::thread server_thread([&] { serve_tcp(server, listener); });
+  IngestServer ingest(server, {});
 
   VirtualClock clock;
   RetryingServerApi api(
-      [&] { return TcpChannel::connect("127.0.0.1", listener.port(), {1.0, 1.0, 1.0}); },
+      [&] { return TcpChannel::connect("127.0.0.1", ingest.port(), {1.0, 1.0, 1.0}); },
       clock, fast_retries());
 
   // Syncing an unregistered guid earns an [error] reply: the request is
@@ -318,9 +285,7 @@ TEST(RetryingServerApi, ApplicationErrorsAreNotRetried) {
   EXPECT_THROW(api.hot_sync(req), Error);
   EXPECT_EQ(api.retries(), 0u);
   EXPECT_EQ(api.connects(), 1u);
-
-  listener.shutdown();
-  server_thread.join();
+  ingest.stop();
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "server/event_loop.hpp"
+#include "server/ingest.hpp"
 #include "server/net.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
@@ -89,7 +90,7 @@ TEST(FrameRobustness, CleanCloseAtBoundaryIsEof) {
 
 /// Well-framed junk payloads must earn an [error] reply, never a crash.
 std::string error_message(UucsServer& server, const std::string& request) {
-  const auto records = kv_parse(dispatch_request(server, request));
+  const auto records = kv_parse(dispatch_request_deferred(server, request).response);
   EXPECT_FALSE(records.empty());
   EXPECT_EQ(records.front().type(), "error");
   return records.front().get_or("message", "");
@@ -113,31 +114,29 @@ TEST(FrameRobustness, DispatchSurvivesLyingResultCount) {
   EXPECT_FALSE(error_message(server, request).empty());
 }
 
-TEST(FrameRobustness, ServeChannelRepliesErrorAndKeepsGoing) {
+/// A client of a live IngestServer whose reads give up after 5 s, so a
+/// missing reply fails the test instead of hanging it.
+std::unique_ptr<TcpChannel> connect_to(const IngestServer& ingest) {
+  return TcpChannel::connect("127.0.0.1", ingest.port(), {5.0, 5.0, 5.0});
+}
+
+TEST(FrameRobustness, IngestRepliesErrorAndKeepsGoing) {
   UucsServer server(1, 8);
-  WirePair wire;
-  std::thread server_thread([&] {
-    try {
-      serve_channel(server, *wire.server_side);
-    } catch (const Error&) {
-      // torn connection at the end of the test
-    }
-  });
+  IngestServer ingest(server, {});
+  auto client = connect_to(ingest);
 
   // A framed-but-garbage request earns an [error] reply...
-  wire.client->write("this is not kv text [");
-  auto reply = wire.client->read();
+  client->write("this is not kv text [");
+  auto reply = client->read();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(kv_parse(*reply).front().type(), "error");
 
   // ...and the connection still works for a real request afterwards.
-  wire.client->write(encode_register_request(HostSpec::detect()));
-  reply = wire.client->read();
+  client->write(encode_register_request(HostSpec::detect()));
+  reply = client->read();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(kv_parse(*reply).front().type(), "register-response");
-
-  wire.client->close();
-  server_thread.join();
+  ingest.stop();
 }
 
 // FrameReader adversarial battery: the event loop's incremental reassembler
@@ -263,27 +262,23 @@ TEST(FrameReaderEdge, GarbageMagicIsRejectedFromTheFirstBytes) {
 /// and the connection closes, which the FrameReaderEdge throws pin.)
 TEST(FrameRobustness, ValidFrameAfterRejectedPayloadStillServed) {
   UucsServer server(1, 8);
-  WirePair wire;
-  std::thread server_thread([&] {
-    try {
-      serve_channel(server, *wire.server_side);
-    } catch (const Error&) {
-      // torn connection at the end of the test
-    }
-  });
+  // The event loop does not order replies across workers; one worker makes
+  // the reply order the request order.
+  IngestServer::Config config;
+  config.loop.workers = 1;
+  IngestServer ingest(server, config);
+  auto client = connect_to(ingest);
 
   // One write, two frames: garbage payload then a valid registration.
-  wire.client->write_bytes(TcpChannel::frame("[sync-request]\nguid = junk\n") +
-                           TcpChannel::frame(encode_register_request(HostSpec::detect())));
-  auto reply = wire.client->read();
+  client->write_bytes(TcpChannel::frame("[sync-request]\nguid = junk\n") +
+                      TcpChannel::frame(encode_register_request(HostSpec::detect())));
+  auto reply = client->read();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(kv_parse(*reply).front().type(), "error");
-  reply = wire.client->read();
+  reply = client->read();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(kv_parse(*reply).front().type(), "register-response");
-
-  wire.client->close();
-  server_thread.join();
+  ingest.stop();
 }
 
 }  // namespace

@@ -225,15 +225,15 @@ TEST(HotPathAlloc, DispatchSteadyStateAllocBudget) {
   };
 
   // Warm: thread_local KvDoc arena, shard maps, response buffers.
-  for (int i = 0; i < 8; ++i) dispatch_request(server, make_request(i));
+  for (int i = 0; i < 8; ++i) dispatch_request_deferred(server, make_request(i));
 
   std::vector<std::string> requests;
   for (int i = 8; i < 8 + kIterations; ++i) requests.push_back(make_request(i));
 
   const std::uint64_t start = g_news;
   for (const auto& request : requests) {
-    const std::string response = dispatch_request(server, request);
-    ASSERT_FALSE(response.empty());
+    const DispatchResult result = dispatch_request_deferred(server, request);
+    ASSERT_FALSE(result.response.empty());
   }
   const std::uint64_t per_sync = allocs_since(start) / kIterations;
   // Owned artifacts per sync: 2 RunRecords (a handful of strings each), 2

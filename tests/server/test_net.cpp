@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "server/ingest.hpp"
 #include "testcase/suite.hpp"
 #include "util/error.hpp"
 
@@ -61,14 +62,9 @@ TEST(TcpChannel, ConnectFailureThrows) {
 TEST(TcpChannel, FullProtocolSession) {
   UucsServer server(1, 8);
   server.add_testcase(make_ramp_testcase(Resource::kMemory, 1.0, 120.0));
+  IngestServer ingest(server, {});
 
-  TcpListener listener(0);
-  std::thread server_thread([&] {
-    auto conn = listener.accept();
-    if (conn) serve_channel(server, *conn);
-  });
-
-  auto client_channel = TcpChannel::connect("127.0.0.1", listener.port());
+  auto client_channel = TcpChannel::connect("127.0.0.1", ingest.port());
   RemoteServerApi api(*client_channel);
   const Guid guid = api.register_client(HostSpec::detect());
   SyncRequest req;
@@ -78,7 +74,7 @@ TEST(TcpChannel, FullProtocolSession) {
   EXPECT_EQ(resp.new_testcases[0].id(), "memory-ramp-x1-t120");
 
   client_channel->close();
-  server_thread.join();
+  ingest.stop();
   EXPECT_TRUE(server.is_registered(guid));
 }
 

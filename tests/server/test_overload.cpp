@@ -75,6 +75,21 @@ TEST(RequestPeek, ResultFreeSyncIsReadClass) {
   EXPECT_EQ(peek.protocol_version, 1);  // no proto key: v1
 }
 
+TEST(RequestPeek, UploadWithoutResultCountIsWriteClass) {
+  // The dispatcher stores a [run] record that follows a sync head even when
+  // the head carries no result_count key, so admission must gate it as a
+  // write: a degraded journal would otherwise apply it in memory, refuse its
+  // append, and later ack a retry of it as "duplicate, stored".
+  RunRecord run;
+  run.run_id = "g/1";
+  run.testcase_id = "cpu-ramp-x1-t120";
+  std::string request = "[sync-request]\nguid = g\n\n";
+  run.serialize_into(request);
+  const auto peek = peek_request(request);
+  EXPECT_EQ(peek.op, RequestPeek::Op::kSync);
+  EXPECT_TRUE(peek.write_class);
+}
+
 TEST(RequestPeek, StatsRequestIsRecognized) {
   const auto peek = peek_request("[stats-request]\nversion = 3\n");
   EXPECT_EQ(peek.op, RequestPeek::Op::kStats);

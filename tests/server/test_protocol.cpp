@@ -4,17 +4,26 @@
 
 #include <thread>
 
-#include "server/inproc.hpp"
+#include "channel_pair.hpp"
+#include "server/ingest.hpp"
 #include "testcase/suite.hpp"
 #include "util/error.hpp"
 
 namespace uucs {
 namespace {
 
+std::string dispatch(UucsServer& server, std::string_view request) {
+  return dispatch_request_deferred(server, request).response;
+}
+
+std::unique_ptr<TcpChannel> connect_to(const IngestServer& ingest) {
+  return TcpChannel::connect("127.0.0.1", ingest.port(), {5.0, 5.0, 5.0});
+}
+
 TEST(Protocol, RegisterRoundTrip) {
   UucsServer server(1);
   const std::string request = encode_register_request(HostSpec::paper_study_machine());
-  const std::string response = dispatch_request(server, request);
+  const std::string response = dispatch(server, request);
   const auto records = kv_parse(response);
   ASSERT_FALSE(records.empty());
   ASSERT_EQ(records[0].type(), "register-response");
@@ -40,7 +49,7 @@ TEST(Protocol, SyncRoundTripCarriesTestcasesAndResults) {
   result.metadata["skill.pc"] = "power";
   req.results.push_back(result);
 
-  const std::string response = dispatch_request(server, encode_sync_request(req));
+  const std::string response = dispatch(server, encode_sync_request(req));
   const auto records = kv_parse(response);
   ASSERT_EQ(records[0].type(), "sync-response");
   ASSERT_EQ(server.results().size(), 1u);
@@ -56,7 +65,7 @@ TEST(Protocol, SyncRoundTripCarriesTestcasesAndResults) {
 TEST(Protocol, MalformedRequestYieldsError) {
   UucsServer server(1);
   for (const char* bad : {"", "garbage not kv [", "[unknown-op]\n"}) {
-    const auto records = kv_parse(dispatch_request(server, bad));
+    const auto records = kv_parse(dispatch(server, bad));
     ASSERT_FALSE(records.empty()) << bad;
     EXPECT_EQ(records[0].type(), "error") << bad;
   }
@@ -66,7 +75,7 @@ TEST(Protocol, SyncFromUnregisteredClientIsError) {
   UucsServer server(1);
   SyncRequest req;
   req.guid = Guid{9, 9};
-  const auto records = kv_parse(dispatch_request(server, encode_sync_request(req)));
+  const auto records = kv_parse(dispatch(server, encode_sync_request(req)));
   EXPECT_EQ(records[0].type(), "error");
 }
 
@@ -77,14 +86,13 @@ TEST(Protocol, ForbiddenIdCharactersRejected) {
   EXPECT_THROW(encode_sync_request(req), ProtocolError);
 }
 
-TEST(RemoteServerApi, FullSessionOverInProcChannel) {
+TEST(RemoteServerApi, FullSession) {
   UucsServer server(1, 8);
   server.add_testcase(make_ramp_testcase(Resource::kDisk, 5.0, 120.0));
+  IngestServer ingest(server, {});
 
-  InProcChannelPair pair;
-  std::thread server_thread([&] { serve_channel(server, pair.b()); });
-
-  RemoteServerApi api(pair.a());
+  auto channel = connect_to(ingest);
+  RemoteServerApi api(*channel);
   const Guid guid = api.register_client(HostSpec::paper_study_machine());
   EXPECT_TRUE(server.is_registered(guid));
 
@@ -93,43 +101,25 @@ TEST(RemoteServerApi, FullSessionOverInProcChannel) {
   const SyncResponse resp = api.hot_sync(req);
   EXPECT_EQ(resp.new_testcases.size(), 1u);
   EXPECT_EQ(resp.server_testcase_count, 1u);
-
-  pair.a().close();
-  server_thread.join();
+  ingest.stop();
 }
 
 TEST(RemoteServerApi, ServerErrorSurfacesAsException) {
   UucsServer server(1);
-  InProcChannelPair pair;
-  std::thread server_thread([&] { serve_channel(server, pair.b()); });
-  RemoteServerApi api(pair.a());
+  IngestServer ingest(server, {});
+  auto channel = connect_to(ingest);
+  RemoteServerApi api(*channel);
   SyncRequest req;
   req.guid = Guid{5, 5};  // not registered
   EXPECT_THROW(api.hot_sync(req), Error);
-  pair.a().close();
-  server_thread.join();
+  ingest.stop();
 }
 
 TEST(RemoteServerApi, ClosedChannelThrowsProtocolError) {
-  InProcChannelPair pair;
-  pair.b().close();
-  RemoteServerApi api(pair.a());
+  ChannelPair pair = make_channel_pair();
+  pair.b->close();
+  RemoteServerApi api(*pair.a);
   EXPECT_THROW(api.register_client(HostSpec::paper_study_machine()), ProtocolError);
-}
-
-TEST(InProcChannel, MessagesArriveInOrder) {
-  InProcChannelPair pair;
-  pair.a().write("one");
-  pair.a().write("two");
-  EXPECT_EQ(pair.b().read(), "one");
-  EXPECT_EQ(pair.b().read(), "two");
-}
-
-TEST(InProcChannel, CloseWakesReader) {
-  InProcChannelPair pair;
-  std::thread closer([&] { pair.a().close(); });
-  EXPECT_EQ(pair.b().read(), std::nullopt);
-  closer.join();
 }
 
 // --- protocol version negotiation ------------------------------------------
@@ -137,10 +127,10 @@ TEST(InProcChannel, CloseWakesReader) {
 TEST(Negotiation, NewClientNewServerLandsOnCurrentMax) {
   UucsServer server(1, 8);
   server.set_generation(5);
-  InProcChannelPair pair;
-  std::thread server_thread([&] { serve_channel(server, pair.b()); });
+  IngestServer ingest(server, {});
+  auto channel = connect_to(ingest);
 
-  RemoteServerApi api(pair.a());  // speaks up to kProtocolVersionMax
+  RemoteServerApi api(*channel);  // speaks up to kProtocolVersionMax
   const Guid guid = api.register_client(HostSpec::paper_study_machine());
   EXPECT_EQ(api.negotiated_version(), kProtocolVersionMax);
 
@@ -152,9 +142,7 @@ TEST(Negotiation, NewClientNewServerLandsOnCurrentMax) {
             static_cast<std::uint32_t>(kProtocolVersionMax));
   EXPECT_EQ(resp.server_generation, 5u);
   EXPECT_EQ(api.last_server_generation(), 5u);
-
-  pair.a().close();
-  server_thread.join();
+  ingest.stop();
 }
 
 TEST(Negotiation, OldClientNewServerStaysOnV1Bytes) {
@@ -169,7 +157,7 @@ TEST(Negotiation, OldClientNewServerStaysOnV1Bytes) {
   const std::string wire = encode_sync_request(req);
   EXPECT_EQ(wire.find("proto"), std::string::npos);
 
-  const auto records = kv_parse(dispatch_request(server, wire));
+  const auto records = kv_parse(dispatch(server, wire));
   ASSERT_EQ(records[0].type(), "sync-response");
   EXPECT_FALSE(records[0].find("proto").has_value());
   EXPECT_FALSE(records[0].find("generation").has_value());
@@ -178,28 +166,27 @@ TEST(Negotiation, OldClientNewServerStaysOnV1Bytes) {
 TEST(Negotiation, NewClientOldServerFallsBackToV1) {
   // A pre-negotiation server answers register without a version key; the
   // client must read that as "I speak v1" and encode every later sync in v1.
-  InProcChannelPair pair;
+  ChannelPair pair = make_channel_pair();
   std::thread old_server([&] {
-    auto request = pair.b().read();
+    auto request = pair.b->read();
     ASSERT_TRUE(request.has_value());
     KvRecord head("register-response");
     head.set("guid", Guid{1, 2}.to_string());
-    pair.b().write(kv_serialize({head}));  // no version key
+    pair.b->write(kv_serialize({head}));  // no version key
   });
 
-  RemoteServerApi api(pair.a());
+  RemoteServerApi api(*pair.a);
   const Guid guid = api.register_client(HostSpec::paper_study_machine());
   EXPECT_EQ(guid, (Guid{1, 2}));
   EXPECT_EQ(api.negotiated_version(), 1);
   old_server.join();
-  pair.a().close();
 }
 
 TEST(Negotiation, FutureClientVersionClampedToServerMax) {
   UucsServer server(1);
   const std::string request =
       encode_register_request(HostSpec::paper_study_machine(), "", 99);
-  const auto records = kv_parse(dispatch_request(server, request));
+  const auto records = kv_parse(dispatch(server, request));
   ASSERT_EQ(records[0].type(), "register-response");
   EXPECT_EQ(records[0].get_int("version"), kProtocolVersionMax);
 }
@@ -211,7 +198,7 @@ TEST(Negotiation, MalformedRegisterVersionIsTypedErrorNotHang) {
     head.set("version", bad);
     const std::string request =
         kv_serialize({head, HostSpec::paper_study_machine().to_record()});
-    const auto records = kv_parse(dispatch_request(server, request));
+    const auto records = kv_parse(dispatch(server, request));
     ASSERT_FALSE(records.empty()) << bad;
     EXPECT_EQ(records[0].type(), "error") << bad;
   }
@@ -224,7 +211,7 @@ TEST(Negotiation, MalformedSyncProtoIsTypedError) {
     KvRecord head("sync-request");
     head.set("proto", bad);
     head.set("guid", guid.to_string());
-    const auto records = kv_parse(dispatch_request(server, kv_serialize({head})));
+    const auto records = kv_parse(dispatch(server, kv_serialize({head})));
     ASSERT_FALSE(records.empty()) << bad;
     EXPECT_EQ(records[0].type(), "error") << bad;
   }
@@ -236,7 +223,7 @@ TEST(Negotiation, SyncFromTheFutureIsRejectedNotGuessed) {
   KvRecord head("sync-request");
   head.set_int("proto", kProtocolVersionMax + 1);
   head.set("guid", guid.to_string());
-  const auto records = kv_parse(dispatch_request(server, kv_serialize({head})));
+  const auto records = kv_parse(dispatch(server, kv_serialize({head})));
   ASSERT_EQ(records[0].type(), "error");
   EXPECT_NE(records[0].get("message").find("unsupported"), std::string::npos);
 }
@@ -244,20 +231,19 @@ TEST(Negotiation, SyncFromTheFutureIsRejectedNotGuessed) {
 TEST(Negotiation, MalformedServerVersionThrowsProtocolError) {
   // A garbled version field from the server side must surface as a typed
   // ProtocolError on the client — retried by the transport, never a hang.
-  InProcChannelPair pair;
+  ChannelPair pair = make_channel_pair();
   std::thread bad_server([&] {
-    auto request = pair.b().read();
+    auto request = pair.b->read();
     ASSERT_TRUE(request.has_value());
     KvRecord head("register-response");
     head.set("guid", Guid{1, 2}.to_string());
     head.set("version", "carrot");
-    pair.b().write(kv_serialize({head}));
+    pair.b->write(kv_serialize({head}));
   });
-  RemoteServerApi api(pair.a());
+  RemoteServerApi api(*pair.a);
   EXPECT_THROW(api.register_client(HostSpec::paper_study_machine()),
                ProtocolError);
   bad_server.join();
-  pair.a().close();
 }
 
 TEST(LocalServerApi, DirectDispatch) {

@@ -1,18 +1,47 @@
 /// Robustness sweep: the server dispatcher must answer EVERY byte sequence
 /// with a well-formed response ([error] for garbage) and never throw or
 /// corrupt its state — a client cannot take the server down (§2's server
-/// accepts connections from arbitrary Internet hosts).
+/// accepts connections from arbitrary Internet hosts). The server is
+/// journaled, so every dispatch also checks admission's cheap peek: a
+/// request that hands back journal entries must have been peeked as
+/// write-class, or a degraded journal would let it through the write gate.
 
 #include <gtest/gtest.h>
 
 #include "server/protocol.hpp"
 #include "testcase/suite.hpp"
+#include "util/fs.hpp"
 #include "util/rng.hpp"
 
 namespace uucs {
 namespace {
 
-class ProtocolFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+class ProtocolFuzz : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  ProtocolFuzz() : server_(GetParam()) {
+    server_.attach_journal(dir_.file("server.journal"));
+  }
+
+  /// Dispatches `request`; fails the test if it produced journal entries
+  /// without being write-class.
+  std::string dispatch(const std::string& request) {
+    const DispatchResult result = dispatch_request_deferred(server_, request);
+    if (!result.journal_entries.empty()) {
+      EXPECT_TRUE(peek_request(request).write_class) << request;
+    }
+    return result.response;
+  }
+
+  /// A registered client the fuzzed syncs can name.
+  Guid register_client() {
+    const auto records = kv_parse(
+        dispatch(encode_register_request(HostSpec::paper_study_machine())));
+    return Guid::parse(records.at(0).get("guid"));
+  }
+
+  TempDir dir_;
+  UucsServer server_;
+};
 
 std::string random_bytes(Rng& rng, std::size_t max_len) {
   const auto n = static_cast<std::size_t>(
@@ -51,13 +80,12 @@ std::string mutate(const std::string& base, Rng& rng) {
 }
 
 TEST_P(ProtocolFuzz, RandomBytesAlwaysGetAResponse) {
-  UucsServer server(GetParam());
-  server.add_testcase(make_ramp_testcase(Resource::kCpu, 1.0, 10.0));
+  server_.add_testcase(make_ramp_testcase(Resource::kCpu, 1.0, 10.0));
   Rng rng(GetParam());
   for (int i = 0; i < 200; ++i) {
     const std::string request = random_bytes(rng, 512);
     std::string response;
-    ASSERT_NO_THROW(response = dispatch_request(server, request)) << request;
+    ASSERT_NO_THROW(response = dispatch(request)) << request;
     const auto records = kv_parse(response);  // response itself parses
     ASSERT_FALSE(records.empty());
     EXPECT_TRUE(records[0].type() == "error" ||
@@ -65,33 +93,52 @@ TEST_P(ProtocolFuzz, RandomBytesAlwaysGetAResponse) {
                 records[0].type() == "sync-response");
   }
   // Server state intact after the barrage.
-  EXPECT_EQ(server.testcases().size(), 1u);
+  EXPECT_EQ(server_.testcases().size(), 1u);
 }
 
 TEST_P(ProtocolFuzz, MutatedValidRequestsNeverCrash) {
-  UucsServer server(GetParam());
-  server.add_testcase(make_ramp_testcase(Resource::kDisk, 2.0, 10.0));
-  const Guid guid = server.register_client(HostSpec::paper_study_machine());
+  server_.add_testcase(make_ramp_testcase(Resource::kDisk, 2.0, 10.0));
   SyncRequest req;
-  req.guid = guid;
+  req.guid = register_client();
   const std::string valid = encode_sync_request(req);
   Rng rng(GetParam() ^ 0x777);
   for (int i = 0; i < 200; ++i) {
     std::string response;
-    ASSERT_NO_THROW(response = dispatch_request(server, mutate(valid, rng)));
+    ASSERT_NO_THROW(response = dispatch(mutate(valid, rng)));
+    ASSERT_FALSE(kv_parse(response).empty());
+  }
+}
+
+TEST_P(ProtocolFuzz, MutatedUploadsAreWriteClassWheneverTheyStore) {
+  // Uploads are where the peek can go wrong: an edit that breaks the
+  // result_count key must not turn a stored upload into a read.
+  server_.add_testcase(make_ramp_testcase(Resource::kDisk, 2.0, 10.0));
+  SyncRequest req;
+  req.guid = register_client();
+  for (int i = 0; i < 2; ++i) {
+    RunRecord r;
+    r.run_id = "fuzz/" + std::to_string(i);
+    r.testcase_id = "disk-ramp-x2-t10";
+    r.task = "fuzz";
+    req.results.push_back(r);
+  }
+  const std::string valid = encode_sync_request(req);
+  Rng rng(GetParam() ^ 0x555);
+  for (int i = 0; i < 400; ++i) {
+    std::string response;
+    ASSERT_NO_THROW(response = dispatch(mutate(valid, rng)));
     ASSERT_FALSE(kv_parse(response).empty());
   }
 }
 
 TEST_P(ProtocolFuzz, ValidRequestsStillWorkAfterFuzzing) {
-  UucsServer server(GetParam());
-  server.add_testcase(make_ramp_testcase(Resource::kCpu, 1.0, 10.0));
+  server_.add_testcase(make_ramp_testcase(Resource::kCpu, 1.0, 10.0));
   Rng rng(GetParam() ^ 0x999);
   for (int i = 0; i < 50; ++i) {
-    dispatch_request(server, random_bytes(rng, 256));
+    dispatch(random_bytes(rng, 256));
   }
-  const std::string response = dispatch_request(
-      server, encode_register_request(HostSpec::paper_study_machine()));
+  const std::string response =
+      dispatch(encode_register_request(HostSpec::paper_study_machine()));
   EXPECT_EQ(kv_parse(response).at(0).type(), "register-response");
 }
 
