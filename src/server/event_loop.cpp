@@ -67,39 +67,9 @@ void FrameReader::feed(const char* data, std::size_t n) {
 }
 
 bool FrameReader::parse_frame(std::size_t& header_len, std::size_t& len) const {
-  // Header: "UUCS <len>\n". Wait for the newline before judging the header —
-  // except that anything longer than the longest legal header, or any byte
-  // that contradicts the grammar, is malformed right now.
   const std::size_t avail = buffer_.size() - consumed_;
-  const char* base = buffer_.data() + consumed_;
-  static constexpr char kMagic[] = "UUCS ";
-  static constexpr std::size_t kMagicLen = 5;
-  static constexpr std::size_t kMaxHeader = 32;  // "UUCS " + digits + "\n"
-
-  const std::size_t probe = std::min(avail, kMagicLen);
-  if (std::memcmp(base, kMagic, probe) != 0) {
-    throw ProtocolError("bad frame magic");
-  }
-  if (avail < kMagicLen) return false;
-
-  const char* nl = static_cast<const char*>(
-      std::memchr(base + kMagicLen, '\n', std::min(avail, kMaxHeader) - kMagicLen));
-  if (nl == nullptr) {
-    if (avail >= kMaxHeader) throw ProtocolError("frame header too long");
-    return false;
-  }
-
-  len = 0;
-  const char* p = base + kMagicLen;
-  if (p == nl) throw ProtocolError("frame header missing length");
-  for (; p != nl; ++p) {
-    if (*p < '0' || *p > '9') throw ProtocolError("bad frame length");
-    len = len * 10 + static_cast<std::size_t>(*p - '0');
-    if (len > kMaxFrameBytes) throw ProtocolError("frame too large");
-  }
-
-  header_len = static_cast<std::size_t>(nl - base) + 1;
-  return avail >= header_len + len;
+  header_len = TcpChannel::parse_frame_header(buffer_.data() + consumed_, avail, len);
+  return header_len != 0 && avail >= header_len + len;
 }
 
 bool FrameReader::next(std::string& payload) {

@@ -20,13 +20,13 @@ namespace uucs {
 
 /// Incremental reassembler for the "UUCS <len>\n<payload>" wire framing.
 /// Feed it whatever bytes the socket produced — a byte at a time or a
-/// megabyte — and it hands back each complete payload exactly once. The
-/// frame grammar is identical to TcpChannel's blocking read(), so a client
-/// cannot tell the event-loop server from the thread-per-connection one.
+/// megabyte — and it hands back each complete payload exactly once. Headers
+/// go through TcpChannel::parse_frame_header, the grammar the blocking
+/// read() uses too.
 class FrameReader {
  public:
-  /// Longest accepted payload; matches the blocking reader's 64 MiB cap.
-  static constexpr std::size_t kMaxFrameBytes = 64u << 20;
+  /// Longest accepted payload: the blocking reader's cap.
+  static constexpr std::size_t kMaxFrameBytes = TcpChannel::kMaxFrameBytes;
 
   /// Appends raw socket bytes to the reassembly buffer.
   void feed(const char* data, std::size_t n);

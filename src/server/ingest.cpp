@@ -25,6 +25,9 @@ IngestServer::IngestServer(UucsServer& server, Config config, Clock* clock)
       config_.loop, [this](std::string payload, EventLoopServer::Responder respond) {
         handle_request(std::move(payload), std::move(respond));
       });
+  // A plane that starts paused (a takeover successor) stays paused through
+  // any pressure spell until resume().
+  if (config_.loop.start_paused) overload_->set_suspended(true);
   overload_->start([this] { loop_->pause_accept(); },
                    [this] { loop_->resume_accept(); });
 }
@@ -47,10 +50,20 @@ void IngestServer::stop() {
 }
 
 bool IngestServer::quiesce(double drain_timeout_s) {
-  // Park the pressure monitor so a probe cannot re-open the accept gate
-  // mid-drain (releases any pause the monitor itself held).
+  pause();
+  const bool clean = drain(drain_timeout_s);
+  flush_commits();
+  return clean;
+}
+
+void IngestServer::pause() {
+  // Monitor first: suspending releases any pause the monitor itself held,
+  // and once suspended no probe can call resume_accept() behind our back.
   overload_->set_suspended(true);
   loop_->pause_accept();
+}
+
+bool IngestServer::drain(double drain_timeout_s) {
   loop_->begin_drain();
   const bool clean = loop_->wait_connections_drained(drain_timeout_s);
   if (!clean) {
@@ -63,7 +76,6 @@ bool IngestServer::quiesce(double drain_timeout_s) {
   // With accept paused and every connection closed, nothing dispatches new
   // work; once the workers go idle, no code path can append to the journal.
   loop_->wait_workers_idle();
-  if (committer_) committer_->flush();
   return clean;
 }
 
@@ -76,17 +88,6 @@ GroupCommitJournal::Stats IngestServer::commit_stats() const {
   UUCS_CHECK_MSG(committer_ != nullptr, "no journal attached");
   return committer_->stats();
 }
-
-namespace {
-const char* health_name(GroupCommitJournal::Health health) {
-  switch (health) {
-    case GroupCommitJournal::Health::kOk: return "ok";
-    case GroupCommitJournal::Health::kDegraded: return "degraded";
-    case GroupCommitJournal::Health::kBroken: return "broken";
-  }
-  return "unknown";
-}
-}  // namespace
 
 std::string IngestServer::encode_stats_response() const {
   KvRecord rec("stats-response");
@@ -119,7 +120,7 @@ std::string IngestServer::encode_stats_response() const {
   rec.set_int("pressure.probes", static_cast<std::int64_t>(shed.probes));
   rec.set_double("pressure.available_frac", shed.last_available_frac);
 
-  rec.set("journal.health", health_name(journal_health()));
+  rec.set("journal.health", to_string(journal_health()));
   if (committer_) {
     const GroupCommitJournal::Stats commit = committer_->stats();
     rec.set_int("journal.entries", static_cast<std::int64_t>(commit.entries));

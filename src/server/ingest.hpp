@@ -67,19 +67,27 @@ class IngestServer {
   /// Snapshot on demand (same exclusive path as snapshot_every).
   void snapshot_now();
 
-  /// Quiesces the ingest plane for a takeover or graceful exit: stops
-  /// accepting (newcomers queue in the kernel backlog — the listening socket
-  /// stays open), drains every connection, force-closes stragglers after
-  /// `drain_timeout_s` (their un-acked requests are stranded, never acked,
-  /// and will be retried + deduplicated), waits for the worker pool to go
-  /// idle, then flushes the group-commit batch. After this returns no code
-  /// path can append to the journal until resume(). Returns true when the
-  /// drain completed without force-closing.
+  /// Quiesces the ingest plane for a takeover or graceful exit: pause(),
+  /// drain(), flush_commits(). After this returns no code path can append
+  /// to the journal until resume(). Returns drain()'s verdict. The takeover
+  /// controller runs the same three steps as separate handoff stages.
   bool quiesce(double drain_timeout_s);
 
-  /// Rolls a quiesce back: resumes accepting (and serves the backlog that
-  /// queued up meanwhile). The takeover controller calls this when the new
-  /// process dies before confirming readiness.
+  /// Quiesce step 1: suspends the pressure monitor (so no probe can re-open
+  /// the accept gate before resume()), then stops accepting. Newcomers
+  /// queue in the kernel backlog — the listening socket stays open.
+  void pause();
+
+  /// Quiesce step 2: drains every connection, force-closes stragglers after
+  /// `drain_timeout_s` (their un-acked requests are stranded, never acked,
+  /// and will be retried + deduplicated), then waits for the worker pool to
+  /// go idle. Returns true when the drain completed without force-closing.
+  bool drain(double drain_timeout_s);
+
+  /// Leaves a pause: resumes accepting (serving the backlog that queued up
+  /// meanwhile), then re-arms the pressure monitor. The only way out of a
+  /// plane built with `loop.start_paused`, and the takeover controller's
+  /// rollback when the new process dies before confirming readiness.
   void resume();
 
   /// Blocks until everything queued at the group-commit journal is durable.

@@ -8,19 +8,20 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace uucs {
 
 namespace {
 
-constexpr std::size_t kMaxMessageBytes = 64ull << 20;
+/// "UUCS " + the digits of any length up to kMaxFrameBytes + "\n" fits.
+constexpr std::size_t kMaxHeaderBytes = 32;
 
 using SteadyClock = std::chrono::steady_clock;
 
@@ -175,8 +176,36 @@ std::string TcpChannel::frame(std::string_view payload) {
   return framed;
 }
 
+std::size_t TcpChannel::parse_frame_header(const char* data, std::size_t avail,
+                                          std::size_t& len) {
+  // Wait for the newline before judging the length — except that anything
+  // longer than the longest legal header, or any byte that contradicts the
+  // grammar, is malformed right now.
+  static constexpr char kMagic[] = "UUCS ";
+  static constexpr std::size_t kMagicLen = 5;
+  if (std::memcmp(data, kMagic, std::min(avail, kMagicLen)) != 0) {
+    throw ProtocolError("bad frame magic");
+  }
+  if (avail < kMagicLen) return 0;
+  const char* nl = static_cast<const char*>(std::memchr(
+      data + kMagicLen, '\n', std::min(avail, kMaxHeaderBytes) - kMagicLen));
+  if (nl == nullptr) {
+    if (avail >= kMaxHeaderBytes) throw ProtocolError("frame header too long");
+    return 0;
+  }
+  len = 0;
+  const char* p = data + kMagicLen;
+  if (p == nl) throw ProtocolError("frame header missing length");
+  for (; p != nl; ++p) {
+    if (*p < '0' || *p > '9') throw ProtocolError("bad frame length");
+    len = len * 10 + static_cast<std::size_t>(*p - '0');
+    if (len > kMaxFrameBytes) throw ProtocolError("frame too large");
+  }
+  return static_cast<std::size_t>(nl - data) + 1;
+}
+
 void TcpChannel::write(const std::string& message) {
-  UUCS_CHECK_MSG(message.size() <= kMaxMessageBytes, "message too large");
+  UUCS_CHECK_MSG(message.size() <= kMaxFrameBytes, "message too large");
   const std::string framed = frame(message);
   write_all(fd_, framed.data(), framed.size(), deadline_in(deadlines_.write_s));
 }
@@ -189,32 +218,93 @@ std::optional<std::string> TcpChannel::read() {
   // One deadline covers the whole message, so a peer trickling bytes cannot
   // stretch a read indefinitely.
   const auto deadline = deadline_in(deadlines_.read_s);
-  // Header: "UUCS <len>\n", read byte-by-byte until the newline (headers
-  // are tiny; simplicity beats buffering here).
-  std::string header;
-  char c = 0;
-  for (;;) {
-    if (!read_all(fd_, &c, 1, deadline)) {
-      if (header.empty()) return std::nullopt;
+  // The header is read a byte at a time and the payload by its exact
+  // length: nothing past this frame leaves the socket, so an SCM_RIGHTS
+  // carrier queued behind it stays for recv_fd().
+  char header[kMaxHeaderBytes];
+  std::size_t have = 0;
+  std::size_t len = 0;
+  do {
+    if (!read_all(fd_, header + have, 1, deadline)) {
+      if (have == 0) return std::nullopt;
       throw ProtocolError("connection closed mid-header");
     }
-    if (c == '\n') break;
-    header += c;
-    if (header.size() > 64) throw ProtocolError("oversized frame header");
-  }
-  const auto fields = split_ws(header);
-  if (fields.size() != 2 || fields[0] != "UUCS") {
-    throw ProtocolError("bad frame header '" + header + "'");
-  }
-  const auto len = parse_int(fields[1]);
-  if (!len || *len < 0 || static_cast<std::size_t>(*len) > kMaxMessageBytes) {
-    throw ProtocolError("bad frame length '" + fields[1] + "'");
-  }
-  std::string payload(static_cast<std::size_t>(*len), '\0');
-  if (*len > 0 && !read_all(fd_, payload.data(), payload.size(), deadline)) {
+  } while (parse_frame_header(header, ++have, len) == 0);
+  std::string payload(len, '\0');
+  if (len > 0 && !read_all(fd_, payload.data(), len, deadline)) {
     throw ProtocolError("connection closed mid-payload");
   }
   return payload;
+}
+
+namespace {
+
+/// msghdr for the one-byte fd carrier; `ctrl` must outlive the result.
+msghdr carrier_msg(char* byte, iovec& iov, char* ctrl, std::size_t ctrl_len) {
+  iov.iov_base = byte;
+  iov.iov_len = 1;
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = ctrl;
+  msg.msg_controllen = ctrl_len;
+  return msg;
+}
+
+}  // namespace
+
+void TcpChannel::send_fd(int fd) {
+  const auto deadline = deadline_in(deadlines_.write_s);
+  char byte = 'F';  // SCM_RIGHTS needs at least one data byte
+  iovec iov{};
+  alignas(cmsghdr) char ctrl[CMSG_SPACE(sizeof(int))] = {};
+  msghdr msg = carrier_msg(&byte, iov, ctrl, sizeof(ctrl));
+  cmsghdr* cm = CMSG_FIRSTHDR(&msg);
+  cm->cmsg_level = SOL_SOCKET;
+  cm->cmsg_type = SCM_RIGHTS;
+  cm->cmsg_len = CMSG_LEN(sizeof(int));
+  std::memcpy(CMSG_DATA(cm), &fd, sizeof(int));
+  for (;;) {
+    if (deadline) wait_ready(fd_, POLLOUT, *deadline, "fd pass");
+    const ssize_t n =
+        ::sendmsg(fd_, &msg, MSG_NOSIGNAL | (deadline ? MSG_DONTWAIT : 0));
+    if (n == 1) return;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+      continue;
+    }
+    if (n < 0 && (errno == EPIPE || errno == ECONNRESET)) {
+      throw ProtocolError("peer closed connection during fd pass");
+    }
+    throw SystemError(std::string("sendmsg: ") + std::strerror(errno));
+  }
+}
+
+UniqueFd TcpChannel::recv_fd() {
+  const auto deadline = deadline_in(deadlines_.read_s);
+  char byte = 0;
+  iovec iov{};
+  alignas(cmsghdr) char ctrl[CMSG_SPACE(sizeof(int))] = {};
+  msghdr msg = carrier_msg(&byte, iov, ctrl, sizeof(ctrl));
+  for (;;) {
+    if (deadline) wait_ready(fd_, POLLIN, *deadline, "fd receive");
+    const ssize_t n =
+        ::recvmsg(fd_, &msg, MSG_CMSG_CLOEXEC | (deadline ? MSG_DONTWAIT : 0));
+    if (n == 0) throw ProtocolError("peer closed before passing an fd");
+    if (n < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
+      if (errno == ECONNRESET) throw ProtocolError("peer reset connection during recvmsg");
+      throw SystemError(std::string("recvmsg: ") + std::strerror(errno));
+    }
+    for (cmsghdr* cm = CMSG_FIRSTHDR(&msg); cm != nullptr; cm = CMSG_NXTHDR(&msg, cm)) {
+      if (cm->cmsg_level == SOL_SOCKET && cm->cmsg_type == SCM_RIGHTS &&
+          cm->cmsg_len == CMSG_LEN(sizeof(int))) {
+        int fd = -1;
+        std::memcpy(&fd, CMSG_DATA(cm), sizeof(int));
+        return UniqueFd(fd);
+      }
+    }
+    throw ProtocolError("message carried no SCM_RIGHTS fd");
+  }
 }
 
 void TcpChannel::shutdown_rw() {

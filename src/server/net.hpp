@@ -104,8 +104,30 @@ class TcpChannel final : public MessageChannel {
   /// string.
   static void frame_header_into(std::string& out, std::size_t payload_size);
 
+  /// Longest accepted payload.
+  static constexpr std::size_t kMaxFrameBytes = 64u << 20;
+
+  /// The one frame-header grammar, shared by read() and the event loop's
+  /// FrameReader: `avail` bytes at `data` start a frame. Returns the header
+  /// length (newline included) and sets `len` once the header is complete,
+  /// 0 while more bytes are needed. Throws ProtocolError as soon as a byte
+  /// contradicts "UUCS <digits>\n", the header outgrows its longest legal
+  /// form, or `len` exceeds kMaxFrameBytes. Never allocates on success.
+  static std::size_t parse_frame_header(const char* data, std::size_t avail,
+                                        std::size_t& len);
+
   /// Sends raw bytes with no framing (fault injection / tests only).
   void write_bytes(const std::string& bytes);
+
+  /// Passes `fd` over a unix-domain socket (SCM_RIGHTS) on a one-byte
+  /// carrier message, within write_s.
+  void send_fd(int fd);
+
+  /// Receives the fd carried by the next byte, within read_s. Throws
+  /// ProtocolError on EOF or when that byte carries no fd. read() takes
+  /// exactly one frame's bytes, so a carrier queued behind a frame is never
+  /// swallowed (which would make the kernel drop its fd).
+  UniqueFd recv_fd();
 
  private:
   int fd_;

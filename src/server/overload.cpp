@@ -74,7 +74,8 @@ void OverloadController::stop() {
 }
 
 void OverloadController::set_suspended(bool suspended) {
-  suspended_.store(suspended, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> gate(gate_mu_);
+  suspended_ = suspended;
   if (suspended && pressure_paused_.exchange(false)) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.pressure_resumes;
@@ -114,7 +115,8 @@ void OverloadController::probe_once() {
     ++stats_.probes;
     if (have) stats_.last_available_frac = frac;
   }
-  if (!have || suspended_.load(std::memory_order_relaxed)) return;
+  std::lock_guard<std::mutex> gate(gate_mu_);
+  if (!have || suspended_) return;
   const double floor = config_.min_available_frac;
   if (!pressure_paused_.load(std::memory_order_relaxed)) {
     if (frac < floor) {

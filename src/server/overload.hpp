@@ -120,7 +120,10 @@ class OverloadController {
   std::thread monitor_;
   bool running_ = false;
   bool stop_requested_ = false;
-  std::atomic<bool> suspended_{false};
+  /// Serializes set_suspended() with a probe's pause/resume decision and
+  /// callback, so no probe that read "not suspended" can act afterwards.
+  std::mutex gate_mu_;
+  bool suspended_ = false;  ///< guarded by gate_mu_
   std::atomic<bool> pressure_paused_{false};
   std::function<void()> on_pressure_enter_;
   std::function<void()> on_pressure_exit_;

@@ -6,8 +6,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
+#include <optional>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/kvtext.hpp"
@@ -21,78 +22,21 @@ namespace {
 /// itself changes; the *wire* protocol clients speak negotiates separately.
 constexpr std::int64_t kTakeoverVersion = 1;
 
-double mono_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+/// Reads one control record within `timeout_s`. A clean EOF is a protocol
+/// failure: the peer must never just hang up mid-handoff.
+std::vector<KvRecord> read_record(TcpChannel& ch, double timeout_s,
+                                  const char* what) {
+  ch.set_deadlines({0.0, timeout_s, ch.deadlines().write_s});
+  const std::optional<std::string> payload = ch.read();
+  if (!payload) {
+    throw ProtocolError(std::string(what) + ": peer closed the control socket");
+  }
+  return kv_parse(*payload);
 }
 
-/// Absolute deadline for a multi-syscall control operation: every poll gets
-/// the *remaining* budget, so a peer trickling bytes cannot stretch one
-/// message past its timeout.
-struct Deadline {
-  double end;
-  explicit Deadline(double timeout_s) : end(mono_s() + timeout_s) {}
-  int remaining_ms(const char* what) const {
-    const double r = end - mono_s();
-    if (r <= 0.0) throw TimeoutError(what);
-    return static_cast<int>(r * 1000.0) + 1;
-  }
-};
-
-void wait_fd(int fd, short events, const Deadline& deadline, const char* what) {
-  for (;;) {
-    pollfd p{};
-    p.fd = fd;
-    p.events = events;
-    const int r = ::poll(&p, 1, deadline.remaining_ms(what));
-    if (r > 0) return;
-    if (r == 0) throw TimeoutError(what);
-    if (errno == EINTR) continue;
-    throw SystemError(std::string(what) + ": poll: " + std::strerror(errno));
-  }
-}
-
-void write_frame(int fd, const std::string& payload, double timeout_s,
-                 const char* what) {
-  const std::string framed = TcpChannel::frame(payload);
-  const Deadline deadline(timeout_s);
-  std::size_t off = 0;
-  while (off < framed.size()) {
-    wait_fd(fd, POLLOUT, deadline, what);
-    const ssize_t n =
-        ::send(fd, framed.data() + off, framed.size() - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
-      continue;
-    }
-    throw SystemError(std::string(what) + ": send: " + std::strerror(errno));
-  }
-}
-
-std::string read_frame(int fd, FrameReader& reader, double timeout_s,
-                       const char* what) {
-  std::string payload;
-  if (reader.next(payload)) return payload;
-  const Deadline deadline(timeout_s);
-  char buf[4096];
-  for (;;) {
-    wait_fd(fd, POLLIN, deadline, what);
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n > 0) {
-      reader.feed(buf, static_cast<std::size_t>(n));
-      if (reader.next(payload)) return payload;
-      continue;
-    }
-    if (n == 0) {
-      throw ProtocolError(std::string(what) + ": peer closed the control socket");
-    }
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    throw SystemError(std::string(what) + ": read: " + std::strerror(errno));
-  }
+void write_record(TcpChannel& ch, const KvRecord& rec, double timeout_s) {
+  ch.set_deadlines({0.0, ch.deadlines().read_s, timeout_s});
+  ch.write(kv_serialize({rec}));
 }
 
 sockaddr_un make_unix_addr(const std::string& path) {
@@ -131,74 +75,10 @@ UniqueFd unix_connect(const std::string& path) {
   return fd;
 }
 
-/// Passes `fd_to_send` over the unix socket with a one-byte carrier message
-/// (SCM_RIGHTS needs at least one data byte).
-void send_fd_msg(int sock, int fd_to_send, double timeout_s) {
-  const Deadline deadline(timeout_s);
-  char byte = 'F';
-  iovec iov{};
-  iov.iov_base = &byte;
-  iov.iov_len = 1;
-  alignas(cmsghdr) char ctrl[CMSG_SPACE(sizeof(int))] = {};
-  msghdr msg{};
-  msg.msg_iov = &iov;
-  msg.msg_iovlen = 1;
-  msg.msg_control = ctrl;
-  msg.msg_controllen = sizeof(ctrl);
-  cmsghdr* cm = CMSG_FIRSTHDR(&msg);
-  cm->cmsg_level = SOL_SOCKET;
-  cm->cmsg_type = SCM_RIGHTS;
-  cm->cmsg_len = CMSG_LEN(sizeof(int));
-  std::memcpy(CMSG_DATA(cm), &fd_to_send, sizeof(int));
-  for (;;) {
-    wait_fd(sock, POLLOUT, deadline, "takeover fd pass");
-    const ssize_t n = ::sendmsg(sock, &msg, MSG_NOSIGNAL);
-    if (n == 1) return;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
-      continue;
-    }
-    throw SystemError(std::string("takeover fd pass: sendmsg: ") + std::strerror(errno));
-  }
-}
-
-UniqueFd recv_fd_msg(int sock, double timeout_s) {
-  const Deadline deadline(timeout_s);
-  char byte = 0;
-  iovec iov{};
-  iov.iov_base = &byte;
-  iov.iov_len = 1;
-  alignas(cmsghdr) char ctrl[CMSG_SPACE(sizeof(int))] = {};
-  msghdr msg{};
-  msg.msg_iov = &iov;
-  msg.msg_iovlen = 1;
-  msg.msg_control = ctrl;
-  msg.msg_controllen = sizeof(ctrl);
-  for (;;) {
-    wait_fd(sock, POLLIN, deadline, "takeover fd receive");
-    const ssize_t n = ::recvmsg(sock, &msg, MSG_CMSG_CLOEXEC);
-    if (n == 0) {
-      throw ProtocolError("takeover fd receive: peer closed before passing the listener");
-    }
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      throw SystemError(std::string("takeover fd receive: recvmsg: ") + std::strerror(errno));
-    }
-    for (cmsghdr* cm = CMSG_FIRSTHDR(&msg); cm != nullptr; cm = CMSG_NXTHDR(&msg, cm)) {
-      if (cm->cmsg_level == SOL_SOCKET && cm->cmsg_type == SCM_RIGHTS &&
-          cm->cmsg_len == CMSG_LEN(sizeof(int))) {
-        int fd = -1;
-        std::memcpy(&fd, CMSG_DATA(cm), sizeof(int));
-        return UniqueFd(fd);
-      }
-    }
-    throw ProtocolError("takeover fd receive: message carried no SCM_RIGHTS fd");
-  }
-}
-
-std::string abort_message(const std::string& reason) {
+KvRecord abort_record(const std::string& reason) {
   KvRecord rec("takeover-abort");
   rec.set("reason", reason);
-  return kv_serialize({rec});
+  return rec;
 }
 
 }  // namespace
@@ -269,52 +149,44 @@ void TakeoverController::accept_loop() {
     if (r <= 0) continue;
     UniqueFd conn(::accept4(listen_fd_.get(), nullptr, nullptr, SOCK_CLOEXEC));
     if (!conn) continue;
-    const bool done = handle_connection(conn.get());
-    conn.reset();
+    bool done = false;
+    {
+      TcpChannel channel(conn.release());
+      done = handle_connection(channel);
+    }
     // A completed handoff or a simulated kill ends this process's tenure;
     // the control socket has nothing left to offer.
     if (done || killed_.load(std::memory_order_acquire)) break;
   }
 }
 
-bool TakeoverController::handle_connection(int fd) {
-  FrameReader reader;
-  bool quiesced = false;
+bool TakeoverController::handle_connection(TcpChannel& ch) {
+  bool paused = false;
   try {
     if (!enter_stage(TakeoverStage::kHello)) return false;
-    const auto hello =
-        kv_parse(read_frame(fd, reader, config_.io_timeout_s, "takeover hello"));
+    const auto hello = read_record(ch, config_.io_timeout_s, "takeover hello");
     if (hello.empty() || hello.front().type() != "takeover-hello") {
       throw ProtocolError("expected takeover-hello");
     }
     const std::int64_t version = hello.front().get_int_or("version", -1);
     if (version != kTakeoverVersion) {
-      write_frame(fd,
-                  abort_message("unsupported takeover version " +
+      write_record(ch,
+                   abort_record("unsupported takeover version " +
                                 std::to_string(version)),
-                  config_.io_timeout_s, "takeover abort");
+                   config_.io_timeout_s);
       return false;
     }
     KvRecord accept_rec("takeover-accept");
     accept_rec.set_int("version", kTakeoverVersion);
     accept_rec.set_int("port", ingest_.port());
-    write_frame(fd, kv_serialize({accept_rec}), config_.io_timeout_s,
-                "takeover accept");
+    write_record(ch, accept_rec, config_.io_timeout_s);
 
     if (!enter_stage(TakeoverStage::kPause)) return false;
-    ingest_.loop().pause_accept();
-    quiesced = true;
+    ingest_.pause();
+    paused = true;
 
     if (!enter_stage(TakeoverStage::kDrain)) return false;
-    ingest_.loop().begin_drain();
-    if (!ingest_.loop().wait_connections_drained(config_.drain_timeout_s)) {
-      // Stragglers past the deadline are cut: their un-acked requests are
-      // stranded (generation-checked Responders drop the replies), so no
-      // ack can escape after the final snapshot. The clients retry against
-      // the successor and dedup absorbs the replays.
-      ingest_.loop().close_all_connections();
-    }
-    ingest_.loop().wait_workers_idle();
+    ingest_.drain(config_.drain_timeout_s);
 
     if (!enter_stage(TakeoverStage::kFlush)) return false;
     ingest_.flush_commits();
@@ -325,7 +197,8 @@ bool TakeoverController::handle_connection(int fd) {
     if (!enter_stage(TakeoverStage::kSendFd)) return false;
     const int lfd = ingest_.loop().listener_fd();
     UUCS_CHECK_MSG(lfd >= 0, "listener already retired");
-    send_fd_msg(fd, lfd, config_.io_timeout_s);
+    ch.set_deadlines({0.0, 0.0, config_.io_timeout_s});
+    ch.send_fd(lfd);
 
     if (!enter_stage(TakeoverStage::kSendState)) return false;
     const std::uint64_t clients = server_.client_count();
@@ -339,11 +212,10 @@ bool TakeoverController::handle_connection(int fd) {
     state.set_int("generation",
                   static_cast<std::int64_t>(server_.generation() + 1));
     state.set_int("port", ingest_.port());
-    write_frame(fd, kv_serialize({state}), config_.io_timeout_s, "takeover state");
+    write_record(ch, state, config_.io_timeout_s);
 
     if (!enter_stage(TakeoverStage::kWaitReady)) return false;
-    const auto ready = kv_parse(
-        read_frame(fd, reader, config_.ready_timeout_s, "takeover ready"));
+    const auto ready = read_record(ch, config_.ready_timeout_s, "takeover ready");
     if (ready.empty() || ready.front().type() != "takeover-ready") {
       throw ProtocolError("expected takeover-ready");
     }
@@ -363,8 +235,7 @@ bool TakeoverController::handle_connection(int fd) {
     // Courtesy only: the successor also serves on EOF, so a crash right
     // here leaves exactly one accepting process either way.
     try {
-      KvRecord go("takeover-go");
-      write_frame(fd, kv_serialize({go}), config_.io_timeout_s, "takeover go");
+      write_record(ch, KvRecord("takeover-go"), config_.io_timeout_s);
     } catch (const std::exception&) {
     }
     log_info("takeover", "handed off to successor (clients=" +
@@ -373,13 +244,14 @@ bool TakeoverController::handle_connection(int fd) {
     if (config_.on_handed_off) config_.on_handed_off();
     return true;
   } catch (const std::exception& e) {
-    log_warn("takeover", "handoff failed, rolling back: " + std::string(e.what()));
+    log_warn("takeover", std::string("handoff failed at ") + to_string(stage()) +
+                             ", rolling back: " + e.what());
     try {
-      write_frame(fd, abort_message(e.what()), 1.0, "takeover abort");
+      write_record(ch, abort_record(e.what()), 1.0);
     } catch (const std::exception&) {
     }
     rollbacks_.fetch_add(1, std::memory_order_relaxed);
-    if (quiesced) ingest_.resume();
+    if (paused) ingest_.resume();
     return false;
   }
 }
@@ -388,15 +260,14 @@ bool TakeoverController::handle_connection(int fd) {
 // TakeoverClient (new process)
 
 TakeoverClient::TakeoverClient(const std::string& socket_path, double io_timeout_s)
-    : fd_(unix_connect(socket_path)), io_timeout_s_(io_timeout_s) {}
+    : channel_(unix_connect(socket_path).release()), io_timeout_s_(io_timeout_s) {}
 
 TakeoverClient::Inherited TakeoverClient::begin() {
   KvRecord hello("takeover-hello");
   hello.set_int("version", kTakeoverVersion);
-  write_frame(fd_.get(), kv_serialize({hello}), io_timeout_s_, "takeover hello");
+  write_record(channel_, hello, io_timeout_s_);
 
-  const auto accept_rec = kv_parse(
-      read_frame(fd_.get(), reader_, io_timeout_s_, "takeover accept"));
+  const auto accept_rec = read_record(channel_, io_timeout_s_, "takeover accept");
   if (accept_rec.empty()) throw ProtocolError("empty takeover accept");
   if (accept_rec.front().type() == "takeover-abort") {
     throw Error("predecessor aborted the takeover: " +
@@ -410,10 +281,10 @@ TakeoverClient::Inherited TakeoverClient::begin() {
   Inherited out;
   // The predecessor quiesces, snapshots, then passes the fd: budget the
   // whole drain + snapshot, not one message's io timeout.
-  out.listener = recv_fd_msg(fd_.get(), io_timeout_s_ + 60.0);
+  channel_.set_deadlines({0.0, io_timeout_s_ + 60.0, io_timeout_s_});
+  out.listener = channel_.recv_fd();
 
-  const auto state = kv_parse(
-      read_frame(fd_.get(), reader_, io_timeout_s_, "takeover state"));
+  const auto state = read_record(channel_, io_timeout_s_, "takeover state");
   if (state.empty()) throw ProtocolError("empty takeover state");
   if (state.front().type() == "takeover-abort") {
     throw Error("predecessor aborted the takeover: " +
@@ -441,16 +312,15 @@ TakeoverClient::Go TakeoverClient::confirm_ready(std::uint64_t clients,
   ready.set_int("results", static_cast<std::int64_t>(results));
   bool write_failed = false;
   try {
-    write_frame(fd_.get(), kv_serialize({ready}), io_timeout_s_, "takeover ready");
+    write_record(channel_, ready, io_timeout_s_);
   } catch (const std::exception&) {
     // EPIPE: the predecessor is gone (crash) or rolled back and closed. A
     // rollback sent an abort first, which is still buffered for us to read.
     write_failed = true;
   }
   try {
-    const auto resp = kv_parse(read_frame(
-        fd_.get(), reader_, write_failed ? io_timeout_s_ : go_timeout_s,
-        "takeover go"));
+    const auto resp = read_record(
+        channel_, write_failed ? io_timeout_s_ : go_timeout_s, "takeover go");
     if (!resp.empty() && resp.front().type() == "takeover-abort") {
       return Go::kAbort;
     }

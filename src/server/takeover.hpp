@@ -87,7 +87,7 @@ class TakeoverController {
 
  private:
   void accept_loop();
-  bool handle_connection(int fd);
+  bool handle_connection(TcpChannel& ch);
   bool enter_stage(TakeoverStage s);
 
   IngestServer& ingest_;
@@ -141,8 +141,7 @@ class TakeoverClient {
                    double go_timeout_s = 30.0);
 
  private:
-  UniqueFd fd_;
-  FrameReader reader_;
+  TcpChannel channel_;
   double io_timeout_s_;
 };
 

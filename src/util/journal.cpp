@@ -591,4 +591,13 @@ void GroupCommitJournal::commit_loop() {
   }
 }
 
+const char* to_string(GroupCommitJournal::Health health) {
+  switch (health) {
+    case GroupCommitJournal::Health::kOk: return "ok";
+    case GroupCommitJournal::Health::kDegraded: return "degraded";
+    case GroupCommitJournal::Health::kBroken: return "broken";
+  }
+  return "unknown";
+}
+
 }  // namespace uucs

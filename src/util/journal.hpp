@@ -261,4 +261,8 @@ class GroupCommitJournal {
   std::thread committer_;
 };
 
+/// "ok", "degraded" or "broken": the spelling of `journal.health` in the
+/// [stats-response] and of `journal=` in the server's stats line.
+const char* to_string(GroupCommitJournal::Health health);
+
 }  // namespace uucs

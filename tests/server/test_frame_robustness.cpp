@@ -2,6 +2,7 @@
 
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "server/event_loop.hpp"
 #include "server/ingest.hpp"
@@ -86,6 +87,30 @@ TEST(FrameRobustness, CleanCloseAtBoundaryIsEof) {
   wire.client->close();
   EXPECT_EQ(wire.server_side->read(), "complete message");
   EXPECT_EQ(wire.server_side->read(), std::nullopt);
+}
+
+TEST(FrameRobustness, BothReadersRejectTheSameHeaders) {
+  // One header grammar: whatever the event loop's FrameReader refuses, the
+  // blocking TcpChannel::read refuses too, instead of reading it leniently.
+  const std::vector<std::string> headers = {
+      "UUCS -0\n",   // a sign
+      "UUCS 5\r\n",  // CRLF
+      "UUCS  5\n",   // two spaces
+      " UUCS 5\n",   // leading space
+      "UUCS 000000000000000000000000005\n",  // zero-padded to 33 bytes
+  };
+  for (const std::string& header : headers) {
+    SCOPED_TRACE(header);
+    const std::string bytes = header + "hello";
+    FrameReader reader;
+    reader.feed(bytes.data(), bytes.size());
+    std::string payload;
+    EXPECT_THROW(reader.next(payload), ProtocolError);
+    WirePair wire;
+    wire.client->write_bytes(bytes);
+    wire.client->close();
+    EXPECT_THROW(wire.server_side->read(), ProtocolError);
+  }
 }
 
 /// Well-framed junk payloads must earn an [error] reply, never a crash.

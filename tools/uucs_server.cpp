@@ -362,15 +362,10 @@ int main(int argc, char** argv) {
     std::string journal = "journal=none";
     if (ingest.has_committer()) {
       const GroupCommitJournal::Stats cs = ingest.commit_stats();
-      const char* health = "ok";
-      if (ingest.journal_health() == GroupCommitJournal::Health::kDegraded) {
-        health = "degraded";
-      } else if (ingest.journal_health() == GroupCommitJournal::Health::kBroken) {
-        health = "broken";
-      }
       journal = strprintf("journal=%s entries=%llu batches=%llu parked=%zu "
                           "slow_fsyncs=%llu",
-                          health, static_cast<unsigned long long>(cs.entries),
+                          to_string(ingest.journal_health()),
+                          static_cast<unsigned long long>(cs.entries),
                           static_cast<unsigned long long>(cs.batches),
                           cs.parked_entries,
                           static_cast<unsigned long long>(cs.slow_fsyncs));
